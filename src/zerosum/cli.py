@@ -5,7 +5,8 @@ the extremal census one below it, ``verify`` a structure description against
 the census, ``table`` a family of groups row by row.
 
 Exit codes: 0 success or agreement, 2 a formula or census disagreement,
-3 node budget exceeded, 64 bad command line, 65 hypothesis mismatch.
+3 node budget exceeded, 64 bad command line or search input the engine
+refuses, 65 hypothesis mismatch.
 Default output is byte-identical across runs and thread counts; timing
 appears only with --perf.
 """
@@ -18,7 +19,7 @@ import io
 import json
 import sys
 
-from .engine import ConstantKind, SearchBudgetExceeded, compute_constant
+from .engine import ConstantKind, SearchBudgetExceeded, SearchInputError, compute_constant
 from .formulas import FormulaValue, formula_for
 from .groups import GroupSpec, parse_group
 from .inverse import HypothesisError, TheoremId, enumerate_extremal, verify_characterization
@@ -334,7 +335,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, SearchInputError) as exc:
         print(f"zerosum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HypothesisError as exc:

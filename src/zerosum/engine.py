@@ -5,13 +5,18 @@ that fails the constant's property.  Failing sequences are closed under
 taking subsequences, so the failing lengths form an initial segment and one
 maximal search settles the value.
 
-The search walks sequences as chains built from the largest element index
-downward, which visits each fixed length in colex order; the colex-least
-witness therefore falls out of the traversal order.  A node carries the
-per-length weighted subsum table of its partial sequence; a node whose table
-already contains zero in a forbidden row is dead, and so is every extension,
-which is what keeps the walk far below the raw binomial counts.  A greedy
-pass seeds the branch-and-bound threshold before the walk starts.
+One walker does all the searching.  It builds sequences as chains from the
+largest element index downward, which visits each fixed length in colex
+order.  A node carries the per-length weighted subsum table of its partial
+sequence (the kernel in ``zerosum.sequences``); a node whose table already
+contains zero in a forbidden row is dead, and so is every extension, which
+is what keeps the walk far below the raw binomial counts.  A value round
+records each chain longer than the best so far, so its first chain of the
+maximal length is the colex-least witness.  The same walk with the length
+fixed lists every failing sequence of that length for a census.  With orbit
+pruning, the value round walks the reversed universe and skips chains that
+are not lex-least in their orbit under the group's automorphisms; an exact
+scan then finds the witness.
 
 Determinism contract: the set of nodes visited depends only on the search
 inputs, never on the thread count.  The walk forks into one task per topmost
@@ -27,7 +32,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from functools import partial
+from typing import Iterable
 
 from zerosum.groups import GroupSpec
 from zerosum.sequences import (
@@ -36,6 +42,7 @@ from zerosum.sequences import (
     oracle_has_weighted_zero_of_length,
     oracle_has_weighted_zero_up_to,
     oracle_nonempty_subsums,
+    subsum_kernel,
 )
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -48,6 +55,20 @@ class SearchBudgetExceeded(RuntimeError):
         super().__init__(f"search exceeded node budget ({nodes} > {budget})")
         self.nodes = nodes
         self.budget = budget
+
+
+class SearchInputError(ValueError):
+    """The engine refuses its arguments; raised before any search starts."""
+
+
+class InternalCheckError(RuntimeError):
+    """A computed result failed an independent re-check: a bug, not bad input."""
+
+
+def _check(ok: bool, what: str) -> None:
+    """A result guard that, unlike ``assert``, survives ``python -O``."""
+    if not ok:
+        raise InternalCheckError(f"internal check failed: {what}")
 
 
 class ConstantKind(str, Enum):
@@ -106,45 +127,21 @@ def _default_threads() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise ValueError(f"ZEROSUM_THREADS must be an integer, got {raw!r}") from None
+        raise SearchInputError(f"ZEROSUM_THREADS must be an integer, got {raw!r}") from None
     return max(n, 1)
 
 
+def _run_limits(threads: int | None, node_budget: int | None) -> tuple[int, int]:
+    threads = threads if threads is not None else _default_threads()
+    node_budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
+    if threads < 1:
+        raise SearchInputError(f"threads must be at least 1, got {threads}")
+    if node_budget < 0:
+        raise SearchInputError(f"node budget must be nonnegative, got {node_budget}")
+    return threads, node_budget
+
+
 # -- node state ----------------------------------------------------------------
-
-
-def _rows_engine(group: GroupSpec, weights: WeightSet, zero_lengths: tuple[int, ...]):
-    """Per-length subsum table state; dead when a forbidden row hits zero."""
-    from zerosum.sequences import _weight_ops
-
-    cap = zero_lengths[-1]
-    ops_table = _weight_ops(group, weights)
-    zl = zero_lengths
-
-    def push(rows: list[int], g: int, new_size: int):
-        hi = min(new_size, cap)
-        new = rows.copy()
-        for j in range(hi, 0, -1):
-            prev = rows[j - 1]
-            if prev:
-                acc = new[j]
-                for ops in ops_table[g]:
-                    x = prev
-                    for m1, s1, m2, s2 in ops:
-                        x = ((x & m1) << s1) | ((x & m2) >> s2)
-                    acc |= x
-                new[j] = acc
-        dead = False
-        for j in zl:
-            if j > hi:
-                break
-            if new[j] & 1:
-                dead = True
-                break
-        return new, dead
-
-    init = [1] + [0] * cap
-    return init, push
 
 
 def _coverage_engine(group: GroupSpec):
@@ -159,240 +156,75 @@ def _coverage_engine(group: GroupSpec):
     return 0, push
 
 
-# -- greedy seeding --------------------------------------------------------------
+# -- the walker -------------------------------------------------------------------
 
 
-def _greedy_longest(universe, init_state, push, squarefree: bool, ltop: int):
-    """Grow maximal failing sequences from every cyclic start; best length seeds
-    the branch-and-bound threshold."""
-    best = 0
-    nodes = 0
-    u = len(universe)
-    for start in range(u):
-        state = init_state.copy() if isinstance(init_state, list) else init_state
-        size = 0
-        if squarefree:
-            for off in range(u):
-                g = universe[(start + off) % u]
-                nodes += 1
-                st2, dead = push(state, g, size + 1)
-                if not dead:
-                    state, size = st2, size + 1
-        else:
-            grew = True
-            while grew and size < ltop:
-                grew = False
-                for off in range(u):
-                    if size == ltop:
-                        break
-                    g = universe[(start + off) % u]
-                    nodes += 1
-                    st2, dead = push(state, g, size + 1)
-                    if not dead:
-                        state, size = st2, size + 1
-                        grew = True
-        if size > best:
-            best = size
-    return best, nodes
+def _walk(universe, init_state, push, root: int, *, best: int, cap: int, squarefree: bool,
+          collect: bool, budget: int, auts=()):
+    """Walk every live chain whose topmost position is ``root``.
 
+    A chain is a run of positions into ``universe``, strictly decreasing when
+    ``squarefree`` and nonincreasing otherwise, so chains come out in colex
+    order.  The walk records the first chain longer than ``best`` each time
+    it finds one; squarefree chains that cannot get longer than ``best`` are
+    pruned.  A chain of length ``cap`` is a hit: it is kept and not extended,
+    and unless ``collect`` is set the walk stops there.
 
-# -- search tasks -----------------------------------------------------------------
+    Value rounds start at ``best = 0``; an exact scan for length L fixes
+    ``best = L - 1`` and ``cap = L``, which prunes every chain that cannot
+    reach L.  With ``auts`` a child is skipped when an automorphism fixing
+    the chain maps it to a smaller element: run over the reversed universe,
+    this never prunes the lex-least member of an orbit.
 
-
-def _max_task_squarefree(universe, init_state, push, threshold, budget):
-    """Best failing length within the subtree of one topmost element."""
-
-    def run(m: int):
-        nodes = 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(nodes, budget)
-        best = threshold
-        best_chain = None
-        state, dead = push(init_state, universe[m], 1)
-        if dead:
-            return best, None, nodes, False
-        if 1 > best:
-            best, best_chain = 1, (m,)
-        chain = [m]
-
-        def rec(p: int, state, size: int):
-            nonlocal nodes, best, best_chain
-            for c in range(max(0, best - size), p):
-                if c < best - size:
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    raise SearchBudgetExceeded(nodes, budget)
-                st2, dead = push(state, universe[c], size + 1)
-                if dead:
-                    continue
-                if size + 1 > best:
-                    best = size + 1
-                    best_chain = tuple(chain) + (c,)
-                chain.append(c)
-                rec(c, st2, size + 1)
-                chain.pop()
-
-        rec(m, state, 1)
-        return best, best_chain, nodes, False
-
-    return run
-
-
-def _max_task_multiset(universe, init_state, push, threshold, ltop, budget):
-    def run(m: int):
-        nodes = 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(nodes, budget)
-        best = threshold
-        best_chain = None
-        hit_cap = False
-        state, dead = push(init_state, universe[m], 1)
-        if dead:
-            return best, None, nodes, False
-        if 1 > best:
-            best, best_chain = 1, (m,)
-        if ltop == 1:
-            return best, best_chain, nodes, True
-        chain = [m]
-
-        def rec(p: int, state, size: int):
-            nonlocal nodes, best, best_chain, hit_cap
-            for c in range(p + 1):
-                nodes += 1
-                if nodes > budget:
-                    raise SearchBudgetExceeded(nodes, budget)
-                st2, dead = push(state, universe[c], size + 1)
-                if dead:
-                    continue
-                if size + 1 > best:
-                    best = size + 1
-                    best_chain = tuple(chain) + (c,)
-                if size + 1 == ltop:
-                    hit_cap = True
-                    continue
-                chain.append(c)
-                rec(c, st2, size + 1)
-                chain.pop()
-
-        rec(m, state, 1)
-        return best, best_chain, nodes, hit_cap
-
-    return run
-
-
-def _exact_task(universe, init_state, push, target, squarefree: bool, collect: bool, budget):
-    """All (or the colex-first) failing sequences of one exact length within
-    the subtree of one topmost element."""
-
-    def run(m: int):
-        hits: list[tuple[int, ...]] = []
-        if squarefree and m < target - 1:
-            return hits, 0
-        nodes = 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(nodes, budget)
-        state, dead = push(init_state, universe[m], 1)
-        if dead:
-            return hits, nodes
-        if target == 1:
-            hits.append((m,))
-            return hits, nodes
-        chain = [m]
-
-        def rec(p: int, state, size: int) -> bool:
-            nonlocal nodes
-            need = target - size
-            if squarefree:
-                candidates = range(need - 1, p)
-            else:
-                candidates = range(p + 1)
-            for c in candidates:
-                nodes += 1
-                if nodes > budget:
-                    raise SearchBudgetExceeded(nodes, budget)
-                st2, dead = push(state, universe[c], size + 1)
-                if dead:
-                    continue
-                if size + 1 == target:
-                    hits.append(tuple(chain) + (c,))
-                    if not collect:
-                        return True
-                    continue
-                chain.append(c)
-                stop = rec(c, st2, size + 1)
-                chain.pop()
-                if stop:
-                    return True
-            return False
-
-        rec(m, state, 1)
-        return hits, nodes
-
-    return run
-
-
-def _orbit_task(universe, init_state, push, threshold, squarefree: bool, ltop, budget, auts):
-    """Value-only scan over orbit representatives (lex-least first elements).
-
-    Chains grow from the smallest element upward here; a child is skipped
-    when an automorphism fixing the chosen prefix maps it to a smaller
-    element, which never prunes the lex-least member of an orbit.
+    Returns ``(best, best_chain, hits, nodes)``.
     """
-    u = len(universe)
+    nodes = 0
+    best_chain = None
+    hits: list[tuple[int, ...]] = []
+    chain: list[int] = []
 
-    def run(m: int):
-        nodes = 0
-        best = threshold
-        hit_cap = False
-        e_m = universe[m]
-        if any(p[e_m] < e_m for p in auts):
-            return best, nodes, False
-        nodes = 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(nodes, budget)
-        state, dead = push(init_state, e_m, 1)
-        if dead:
-            return best, nodes, False
-        if 1 > best:
-            best = 1
-        if not squarefree and ltop == 1:
-            return best, nodes, True
-        stab0 = [p for p in auts if p[e_m] == e_m]
+    def grow(state, size: int, children, stab) -> bool:
+        """Try each child position after the live chain; True stops the walk."""
+        nonlocal nodes, best, best_chain
+        n = size + 1
+        for c in children:
+            if squarefree and c < best - size:
+                continue
+            e = universe[c]
+            if stab and any(s[e] < e for s in stab):
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(nodes, budget)
+            new, dead = push(state, e, n)
+            if dead:
+                continue
+            chain.append(c)
+            if n == cap:
+                hits.append(tuple(chain))
+                if not collect:
+                    return True
+            else:
+                if n > best:
+                    best, best_chain = n, tuple(chain)
+                below = range(max(0, best - n), c) if squarefree else range(c + 1)
+                if grow(new, n, below, [s for s in stab if s[e] == e] if stab else stab):
+                    return True
+            chain.pop()
+        return False
 
-        def rec(p: int, state, size: int, stab):
-            nonlocal nodes, best, hit_cap
-            lo = p + 1 if squarefree else p
-            for c in range(lo, u):
-                if squarefree and size + 1 + (u - 1 - c) <= best:
-                    break
-                e_c = universe[c]
-                if any(s[e_c] < e_c for s in stab):
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    raise SearchBudgetExceeded(nodes, budget)
-                st2, dead = push(state, e_c, size + 1)
-                if dead:
-                    continue
-                if size + 1 > best:
-                    best = size + 1
-                if not squarefree and size + 1 == ltop:
-                    hit_cap = True
-                    continue
-                rec(c, st2, size + 1, [s for s in stab if s[e_c] == e_c])
-
-        rec(m, state, 1, stab0)
-        return best, nodes, hit_cap
-
-    return run
+    grow(init_state, 0, (root,), auts)
+    return best, best_chain, hits, nodes
 
 
-def _run_tasks(task_fn, roots, threads: int):
+def _walk_roots(universe, init_state, push, threads: int, **walk_opts):
+    """One walk per topmost position, merged in position order."""
+    task = partial(_walk, universe, init_state, push, **walk_opts)
+    roots = range(len(universe))
     if threads > 1 and len(roots) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(task_fn, roots))
-    return [task_fn(m) for m in roots]
+            return list(pool.map(task, roots))
+    return [task(m) for m in roots]
 
 
 # -- search driver -----------------------------------------------------------------
@@ -418,9 +250,11 @@ def _search_max_failing(
     *,
     threads: int,
     node_budget: int,
-    orbit_pruning: bool,
+    auts: tuple[tuple[int, ...], ...] | None,
     want_census: bool,
 ) -> MaxFailingResult:
+    """Value rounds until no chain reaches the length cap, then an exact scan
+    when a census is wanted or orbit pruning left no witness."""
     squarefree = mode == "squarefree"
     exp = group.exponent
     if kind is ConstantKind.CRITICAL:
@@ -428,7 +262,8 @@ def _search_max_failing(
     else:
         universe = tuple(range(group.order))
 
-    ltop = len(universe) if squarefree else _initial_ltop(group)
+    # squarefree chains cannot outgrow the universe, so their cap is never hit
+    ltop = len(universe) + 1 if squarefree else _initial_ltop(group)
     safety = 4 * group.order + exp + 8
 
     def build_engine(cur_ltop: int):
@@ -440,97 +275,71 @@ def _search_max_failing(
             zl = tuple(range(1, exp + 1))
         else:  # davenport
             zl = tuple(range(1, cur_ltop + 1))
-        return _rows_engine(group, weights, zl)
+        return subsum_kernel(group, weights, zl[-1], zl)
 
+    def check_budget():
+        if total_nodes > node_budget:
+            raise SearchBudgetExceeded(total_nodes, node_budget)
+
+    # orbit pruning keeps lex-least chains, which descend the reversed universe
+    value_universe, round_auts = (universe, ()) if auts is None else (universe[::-1], auts)
     total_nodes = 0
     while True:
         init_state, push = build_engine(ltop)
-        threshold, greedy_nodes = _greedy_longest(universe, init_state, push, squarefree, ltop)
-        total_nodes += greedy_nodes
-        if not squarefree and threshold >= ltop:
-            ltop *= 2
-            if ltop > safety:
-                raise RuntimeError(f"failing lengths for {kind.value} on {group} keep growing past {safety}")
-            continue
+        results = _walk_roots(value_universe, init_state, push, threads, best=0, cap=ltop,
+                              squarefree=squarefree, collect=False, budget=node_budget, auts=round_auts)
+        total_nodes += sum(r[3] for r in results)
+        check_budget()
+        if not any(r[2] for r in results):
+            break
+        ltop *= 2
+        if ltop > safety:
+            raise RuntimeError(f"failing lengths for {kind.value} on {group} keep growing past {safety}")
 
-        roots = range(len(universe))
-        if orbit_pruning:
-            auts = group.automorphisms
-            task = _orbit_task(universe, init_state, push, threshold, squarefree, ltop, node_budget, auts)
-            results = _run_tasks(task, roots, threads)
-            round_nodes = sum(r[1] for r in results)
-            best = max([threshold] + [r[0] for r in results])
-            hit_cap = any(r[2] for r in results)
-            best_chain = None
-        else:
-            if squarefree:
-                task = _max_task_squarefree(universe, init_state, push, threshold, node_budget)
-            else:
-                task = _max_task_multiset(universe, init_state, push, threshold, ltop, node_budget)
-            results = _run_tasks(task, roots, threads)
-            round_nodes = sum(r[2] for r in results)
-            best = threshold
-            best_chain = None
-            for r in results:
-                if r[0] > best:
-                    best, best_chain = r[0], r[1]
-            hit_cap = any(r[3] for r in results)
-        total_nodes += round_nodes
-        if total_nodes > node_budget:
-            raise SearchBudgetExceeded(total_nodes, node_budget)
-        if hit_cap:
-            ltop *= 2
-            if ltop > safety:
-                raise RuntimeError(f"failing lengths for {kind.value} on {group} keep growing past {safety}")
-            continue
-        length = best
-        break
+    length, chain = 0, None
+    for best, best_chain, _, _ in results:
+        if best > length:
+            length, chain = best, best_chain
 
     census: tuple[Sequence, ...] | None = None
-    witness_chain: tuple[int, ...] | None = None
     if length == 0:
-        witness = Sequence.empty(group)
+        chain = ()
         if want_census:
-            census = (witness,)
-    else:
-        need_scan = want_census or best_chain is None or orbit_pruning
-        if need_scan:
-            init_state, push = build_engine(ltop)
-            task = _exact_task(universe, init_state, push, length, squarefree, want_census, node_budget)
-            results = _run_tasks(task, roots, threads)
-            total_nodes += sum(r[1] for r in results)
-            if total_nodes > node_budget:
-                raise SearchBudgetExceeded(total_nodes, node_budget)
-            all_hits = [h for r in results for h in r[0]]
-            if not all_hits:
-                raise AssertionError("internal: no witness at the established failing length")
-            witness_chain = all_hits[0]
-            if want_census:
-                census = tuple(
-                    Sequence.from_indices(group, [universe[p] for p in hit]) for hit in all_hits
-                )
-        else:
-            witness_chain = best_chain
-        witness = Sequence.from_indices(group, [universe[p] for p in witness_chain])
+            census = (Sequence.empty(group),)
+    elif want_census or auts is not None:
+        results = _walk_roots(universe, init_state, push, threads, best=length - 1, cap=length,
+                              squarefree=squarefree, collect=want_census, budget=node_budget)
+        total_nodes += sum(r[3] for r in results)
+        check_budget()
+        hits = [h for r in results for h in r[2]]
+        _check(bool(hits), "a witness exists at the established failing length")
+        chain = hits[0]
+        if want_census:
+            census = tuple(Sequence.from_indices(group, [universe[p] for p in hit]) for hit in hits)
+    witness = Sequence.from_indices(group, [universe[p] for p in chain])
     return MaxFailingResult(length=length, witness=witness, nodes_visited=total_nodes, census=census)
 
 
 def _validate_witness(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, witness: Sequence) -> None:
     """Re-check the witness through the recursive oracle, never the tables."""
     if kind is ConstantKind.CRITICAL:
-        assert witness.is_squarefree and witness.multiplicity(0) == 0
-        covered = oracle_nonempty_subsums(witness)
-        assert covered != set(range(group.order)), "critical witness covers the group"
+        _check(witness.is_squarefree and witness.multiplicity(0) == 0,
+               "critical witness is a zero-free set")
+        _check(oracle_nonempty_subsums(witness) != set(range(group.order)),
+               "critical witness leaves G uncovered")
         return
     exp = group.exponent
     if kind in (ConstantKind.HARBORTH, ConstantKind.EGZ):
-        assert not oracle_has_weighted_zero_of_length(witness, weights, exp)
+        _check(not oracle_has_weighted_zero_of_length(witness, weights, exp),
+               f"witness has no weighted zero-sum of length {exp}")
         if kind is ConstantKind.HARBORTH:
-            assert witness.is_squarefree
+            _check(witness.is_squarefree, "harborth witness is squarefree")
     elif kind is ConstantKind.ETA:
-        assert not oracle_has_weighted_zero_up_to(witness, weights, exp)
+        _check(not oracle_has_weighted_zero_up_to(witness, weights, exp),
+               f"witness has no weighted zero-sum of length at most {exp}")
     else:  # davenport
-        assert not oracle_has_weighted_zero_up_to(witness, weights, witness.length)
+        _check(not oracle_has_weighted_zero_up_to(witness, weights, witness.length),
+               "witness has no nonempty weighted zero-sum")
 
 
 def _compute(
@@ -547,23 +356,28 @@ def _compute(
     t0 = time.perf_counter()
     if kind is ConstantKind.CRITICAL:
         if weights is not None:
-            raise ValueError("the critical number takes no weight set")
+            raise SearchInputError("the critical number takes no weight set")
         if group.order < 3:
-            raise ValueError(f"critical number needs |G| >= 3, got {group.order}")
+            raise SearchInputError(f"critical number needs |G| >= 3, got {group.order}")
     else:
         if weights is None:
-            raise ValueError(f"{kind.value} needs a weight set")
+            raise SearchInputError(f"{kind.value} needs a weight set")
         if weights.modulus != group.exponent:
-            raise ValueError(
+            raise SearchInputError(
                 f"weight modulus {weights.modulus} does not match exponent {group.exponent} of {group}"
             )
     mode = mode or _KIND_MODE[kind]
     if mode not in ("squarefree", "multiset"):
-        raise ValueError(f"unknown search mode {mode!r}")
+        raise SearchInputError(f"unknown search mode {mode!r}")
     if kind in (ConstantKind.HARBORTH, ConstantKind.CRITICAL) and mode != "squarefree":
-        raise ValueError(f"{kind.value} is defined over squarefree sequences")
-    threads = threads if threads is not None else _default_threads()
-    node_budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
+        raise SearchInputError(f"{kind.value} is defined over squarefree sequences")
+    threads, node_budget = _run_limits(threads, node_budget)
+    auts = None
+    if orbit_pruning:
+        try:
+            auts = group.automorphisms
+        except ValueError as exc:
+            raise SearchInputError(f"orbit pruning: {exc}") from exc
     result = _search_max_failing(
         group,
         weights,
@@ -571,16 +385,16 @@ def _compute(
         mode,
         threads=threads,
         node_budget=node_budget,
-        orbit_pruning=orbit_pruning,
+        auts=auts,
         want_census=want_census,
     )
     value = result.length + 1
     _validate_witness(kind, group, weights, result.witness)
-    assert result.witness.length == value - 1
+    _check(result.witness.length == value - 1, "witness length is one below the value")
     if kind in (ConstantKind.HARBORTH, ConstantKind.EGZ):
-        assert value >= group.exponent
+        _check(value >= group.exponent, "value is at least exp(G)")
     if kind is ConstantKind.HARBORTH:
-        assert value <= group.order + 1
+        _check(value <= group.order + 1, "value is at most |G| + 1")
     wall_ms = (time.perf_counter() - t0) * 1000.0
     report = SearchReport(
         kind=kind,
@@ -647,7 +461,7 @@ def failing_census(
 ) -> tuple[SearchReport, tuple[Sequence, ...]]:
     """The report plus every failing sequence of the maximal failing length."""
     report, census = _compute(kind, group, weights, want_census=True, **opts)
-    assert census is not None
+    _check(census is not None, "a census search returns a census")
     return report, census
 
 
@@ -665,18 +479,18 @@ def exists_failing_sequence(
     every length in ``zero_lengths``.  Exhaustive up to dead-branch pruning."""
     zl = tuple(sorted(set(int(j) for j in zero_lengths)))
     if not zl or zl[0] < 1:
-        raise ValueError("zero_lengths must be positive")
+        raise SearchInputError("zero_lengths must be positive")
+    threads, node_budget = _run_limits(threads, node_budget)
     if length == 0:
         return True
-    threads = threads if threads is not None else _default_threads()
-    node_budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
     squarefree = mode == "squarefree"
     universe = tuple(range(group.order))
     if squarefree and length > group.order:
         return False
-    init_state, push = _rows_engine(group, weights, zl)
-    task = _exact_task(universe, init_state, push, length, squarefree, False, node_budget)
-    results = _run_tasks(task, range(len(universe)), threads)
-    if sum(r[1] for r in results) > node_budget:
-        raise SearchBudgetExceeded(sum(r[1] for r in results), node_budget)
-    return any(r[0] for r in results)
+    init_state, push = subsum_kernel(group, weights, zl[-1], zl)
+    results = _walk_roots(universe, init_state, push, threads, best=length - 1, cap=length,
+                          squarefree=squarefree, collect=False, budget=node_budget)
+    nodes = sum(r[3] for r in results)
+    if nodes > node_budget:
+        raise SearchBudgetExceeded(nodes, node_budget)
+    return any(r[2] for r in results)

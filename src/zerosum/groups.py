@@ -18,6 +18,10 @@ from typing import Iterable, Iterator
 
 DEFAULT_ORDER_CEILING = 64
 
+# most candidate maps the brute-force automorphism build tries; C2^4 needs
+# 15^4 = 50,625 and builds in seconds, C2^5 would need 31^5 and never finishes
+_AUTOMORPHISM_CANDIDATE_LIMIT = 100_000
+
 
 class GroupMismatchError(ValueError):
     """Operands belong to different groups."""
@@ -223,12 +227,17 @@ class GroupSpec:
 
         Candidates send each canonical generator to an element of the same
         order; a candidate is kept when the induced map is a bijection.
+        Raises ValueError, before building anything, when there are more
+        candidates than the build can afford.
         """
         N = self.order
-        gens = [self.index_of(tuple(1 if j == i else 0 for j in range(self.rank))) for i in range(self.rank)]
-        pools = []
-        for i, n in enumerate(self.invariant_factors):
-            pools.append([g for g in range(N) if self.order_of_index(g) == n])
+        pools = [[g for g in range(N) if self.order_of_index(g) == n] for n in self.invariant_factors]
+        candidates = math.prod(len(p) for p in pools)
+        if candidates > _AUTOMORPHISM_CANDIDATE_LIMIT:
+            raise ValueError(
+                f"automorphisms of {self.describe()} need {candidates} candidate maps, "
+                f"above the limit of {_AUTOMORPHISM_CANDIDATE_LIMIT}"
+            )
         perms = []
         images = [0] * self.rank
 
@@ -485,63 +494,3 @@ def enumerate_bases_2x2n(group: GroupSpec) -> list[Basis2x2n]:
                     )
                 )
     return out
-
-
-class Hom:
-    """A structure-preserving map used to push sequences between groups.
-
-    Only the four shapes the verification needs are provided: coordinate
-    projection, the quotient G -> G/2G, translation by a fixed element
-    (affine, kept here because sequences push through it the same way), and
-    dilation x -> k*x.
-    """
-
-    __slots__ = ("kind", "source", "target", "index_map")
-
-    def __init__(self, kind: str, source: GroupSpec, target: GroupSpec, index_map: tuple[int, ...]):
-        self.kind = kind
-        self.source = source
-        self.target = target
-        self.index_map = index_map
-
-    def map_index(self, i: int) -> int:
-        return self.index_map[i]
-
-    def __call__(self, g: GroupElement) -> GroupElement:
-        if g.group != self.source:
-            raise GroupMismatchError("element not in the hom's source group")
-        return GroupElement(self.target, self.index_map[g.index])
-
-    @classmethod
-    def projection(cls, group: GroupSpec, axis: int) -> "Hom":
-        if not 0 <= axis < group.rank:
-            raise ValueError(f"axis {axis} out of range for rank {group.rank}")
-        target = GroupSpec([group.invariant_factors[axis]])
-        table = tuple(group.coords_of(i)[axis] for i in range(group.order))
-        return cls("projection", group, target, table)
-
-    @classmethod
-    def quotient_mod_doubles(cls, group: GroupSpec) -> "Hom":
-        even_axes = [i for i, n in enumerate(group.invariant_factors) if n % 2 == 0]
-        if not even_axes:
-            raise ValueError("G/2G is trivial for odd order groups")
-        target = GroupSpec([2] * len(even_axes))
-        table = []
-        for i in range(group.order):
-            cs = group.coords_of(i)
-            table.append(target.index_of(cs[a] % 2 for a in even_axes))
-        return cls("quotient_mod_doubles", group, target, tuple(table))
-
-    @classmethod
-    def translation(cls, group: GroupSpec, h) -> "Hom":
-        hi = _member_index(group, h)
-        table = tuple(group.add_indices(i, hi) for i in range(group.order))
-        return cls("translation", group, group, table)
-
-    @classmethod
-    def dilation(cls, group: GroupSpec, k: int) -> "Hom":
-        table = tuple(group.scale_index(k, i) for i in range(group.order))
-        return cls("dilation", group, group, table)
-
-    def __repr__(self) -> str:
-        return f"Hom({self.kind}: {self.source} -> {self.target})"

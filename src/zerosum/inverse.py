@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from zerosum.engine import ConstantKind, failing_census
+from zerosum.engine import ConstantKind, InternalCheckError, failing_census
 from zerosum.formulas import gw_equals_order_plus_one
 from zerosum.groups import GroupSpec, coset_index_mod_2G, doubling_subgroup, enumerate_bases_2x2n
 from zerosum.sequences import (
@@ -77,10 +77,12 @@ def enumerate_extremal(group: GroupSpec, weights: WeightSet, **opts) -> Extremal
         i * (len(members) - 1) // 7 for i in range(8)
     )
     for i, s in enumerate(members):
-        assert s.is_squarefree and s.length == length
-        assert not has_weighted_zero_of_length(s, weights, exp)
-        if i in sample:
-            assert not oracle_has_weighted_zero_of_length(s, weights, exp)
+        if not (s.is_squarefree and s.length == length):
+            raise InternalCheckError(f"census member {s.literal()} is not squarefree of length {length}")
+        if has_weighted_zero_of_length(s, weights, exp) or (
+            i in sample and oracle_has_weighted_zero_of_length(s, weights, exp)
+        ):
+            raise InternalCheckError(f"census member {s.literal()} has a weighted zero-sum of length {exp}")
     return ExtremalCensus(
         group=group,
         weights=weights,
@@ -159,9 +161,11 @@ def _involution_coset_reps(group: GroupSpec) -> list[int]:
     reps = [0]
     for idx in range(1, group.order):
         if group.order_of_index(idx) == 2:
-            assert idx not in two_g
+            if idx in two_g:
+                raise InternalCheckError(f"involution {group.coords_of(idx)} lies in 2G")
             reps.append(idx)
-    assert len(reps) == 4, "expected zero plus three involutions"
+    if len(reps) != 4:
+        raise InternalCheckError("expected zero plus three involutions")
     return reps
 
 
@@ -169,7 +173,7 @@ def _coset_of(group: GroupSpec, two_g, reps: list[int], idx: int) -> int:
     for c, r in enumerate(reps):
         if group.add_indices(idx, group.neg_index(r)) in two_g:
             return c
-    raise AssertionError("element in no coset")
+    raise InternalCheckError("element in no coset")
 
 
 def predicate_pm_general(seq: Sequence) -> bool:

@@ -16,11 +16,11 @@ implementation that shares no machinery with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
-from zerosum.groups import GroupElement, GroupSpec, Hom, SumSet
+from zerosum.groups import GroupElement, GroupSpec, SumSet
 
 
 @dataclass(frozen=True)
@@ -224,17 +224,6 @@ class Sequence:
         return f"Sequence[{self.literal() or 'empty'} over {self.group}]"
 
 
-def apply_hom(hom: Hom, seq: Sequence) -> Sequence:
-    """Push a sequence through a hom; the length is preserved."""
-    if seq.group != hom.source:
-        raise ValueError("sequence group does not match the hom's source")
-    mult = [0] * hom.target.order
-    for i, m in enumerate(seq.mult):
-        if m:
-            mult[hom.map_index(i)] += m
-    return Sequence(hom.target, tuple(mult))
-
-
 # -- plain subsums ------------------------------------------------------------
 
 
@@ -269,6 +258,7 @@ def nonempty_subsums(seq: Sequence) -> SumSet:
 # -- weighted subsums ----------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def _weight_ops(group: GroupSpec, weights: WeightSet):
     """Per element g: the translation op lists for each distinct w*g."""
     if weights.modulus != group.exponent:
@@ -282,23 +272,48 @@ def _weight_ops(group: GroupSpec, weights: WeightSet):
             if wg not in seen:
                 seen.append(wg)
         table.append(tuple(trans[wg] for wg in seen))
-    return table
+    return tuple(table)
+
+
+def subsum_kernel(group: GroupSpec, weights: WeightSet, cap: int, zero_lengths: tuple[int, ...] = ()):
+    """The per-length weighted subsum table as ``(init_rows, push)``.
+
+    ``rows`` is a list of bit masks, rows 0..cap; ``push(rows, g, new_size)``
+    adds element g as term number ``new_size`` and returns the new rows plus
+    whether some row listed in ``zero_lengths`` (ascending) now contains
+    zero.  The input rows are never modified, so a search can keep them for
+    backtracking.
+    """
+    if cap < 0:
+        raise ValueError("table cap must be nonnegative")
+    ops_table = _weight_ops(group, weights)
+
+    def push(rows: list[int], g: int, new_size: int):
+        hi = min(new_size, cap)
+        new = rows.copy()
+        for j in range(hi, 0, -1):
+            prev = rows[j - 1]
+            if prev:
+                acc = new[j]
+                for ops in ops_table[g]:
+                    x = prev
+                    for m1, s1, m2, s2 in ops:
+                        x = ((x & m1) << s1) | ((x & m2) >> s2)
+                    acc |= x
+                new[j] = acc
+        for j in zero_lengths:
+            if j > hi:
+                break
+            if new[j] & 1:
+                return new, True
+        return new, False
+
+    return [1] + [0] * cap, push
 
 
 def weighted_sums(seq: Sequence, weights: WeightSet) -> SumSet:
     """sigma_W(S): every w1*g1 + ... + wk*gk using all terms once."""
-    g = seq.group
-    ops_table = _weight_ops(g, weights)
-    bits = 1
-    for i in seq.indices():
-        acc = 0
-        for ops in ops_table[i]:
-            x = bits
-            for m1, s1, m2, s2 in ops:
-                x = ((x & m1) << s1) | ((x & m2) >> s2)
-            acc |= x
-        bits = acc
-    return SumSet(g, bits)
+    return length_sum_table(seq, weights, seq.length).row(seq.length)
 
 
 @dataclass(frozen=True)
@@ -321,25 +336,10 @@ class LengthSumTable:
 
 def length_sum_table(seq: Sequence, weights: WeightSet, cap: int) -> LengthSumTable:
     """Build rows 0..cap of the per-length weighted subsum table."""
-    g = seq.group
-    if cap < 0:
-        raise ValueError("table cap must be nonnegative")
-    ops_table = _weight_ops(g, weights)
-    rows = [1] + [0] * cap
-    size = 0
-    for i in seq.indices():
-        size += 1
-        for j in range(min(size, cap), 0, -1):
-            prev = rows[j - 1]
-            if prev:
-                acc = rows[j]
-                for ops in ops_table[i]:
-                    x = prev
-                    for m1, s1, m2, s2 in ops:
-                        x = ((x & m1) << s1) | ((x & m2) >> s2)
-                    acc |= x
-                rows[j] = acc
-    return LengthSumTable(g, weights, cap, tuple(rows))
+    rows, push = subsum_kernel(seq.group, weights, cap)
+    for size, i in enumerate(seq.indices(), 1):
+        rows, _ = push(rows, i, size)
+    return LengthSumTable(seq.group, weights, cap, tuple(rows))
 
 
 def has_weighted_zero_of_length(seq: Sequence, weights: WeightSet, length: int) -> bool:

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, reproducibility."""
 
 import json
+import time
 
 import pytest
 
@@ -134,6 +135,54 @@ def test_budget_exceeded_exits_3(capsys):
                        "--kind", "harborth", "--node-budget", "100")
     assert code == 3
     assert "budget" in err
+
+
+def test_critical_on_too_small_group_exits_64(capsys):
+    code, _, err = run(capsys, "compute", "--group", "2", "--kind", "critical")
+    assert code == 64
+    assert err.startswith("zerosum: error:") and "|G| >= 3" in err
+
+
+def test_table_critical_too_small_group_exits_64(capsys):
+    code, _, err = run(capsys, "table", "--family", "n", "--range", "2:3", "--kind", "critical")
+    assert code == 64
+    assert err.startswith("zerosum: error:")
+
+
+def test_negative_node_budget_exits_64(capsys):
+    code, _, err = run(capsys, "compute", "--group", "6", "--weights", "pm",
+                       "--kind", "harborth", "--node-budget", "-1")
+    assert code == 64
+    assert err.startswith("zerosum: error:") and "node budget" in err
+
+
+def test_zero_threads_exits_64(capsys):
+    code, out, err = run(capsys, "compute", "--group", "6", "--weights", "pm",
+                         "--kind", "harborth", "--threads", "0")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("zerosum: error:") and "threads" in err
+
+
+def test_orbit_pruning_on_large_elementary_group_refused_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "compute", "--group", "2,2,2,2,2", "--kind", "harborth",
+                         "--weights", "classic", "--orbit-pruning")
+    assert time.perf_counter() - t0 < 1
+    assert code == 64
+    assert out == ""
+    assert err.startswith("zerosum: error:") and "orbit pruning" in err
+
+
+def test_internal_check_error_is_not_a_usage_error(capsys, monkeypatch):
+    from zerosum.engine import InternalCheckError
+
+    def broken(*args, **kwargs):
+        raise InternalCheckError("internal check failed: stub")
+
+    monkeypatch.setattr(cli, "compute_constant", broken)
+    with pytest.raises(InternalCheckError):
+        cli.main(["compute", "--group", "6", "--weights", "pm", "--kind", "harborth"])
 
 
 # -- verify ------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Search engine checks: known small values, witness contracts, determinism."""
 
 import json
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from zerosum.engine import (
     ConstantKind,
     SearchBudgetExceeded,
+    SearchInputError,
     compute_constant,
     critical_number,
     davenport,
@@ -131,7 +135,8 @@ def test_trivial_weights_collapse():
 
 
 def _brute_max_failing_multiset(group, weights, check):
-    best = 0
+    """Largest failing length and the colex-first failing multiset of it."""
+    best, witness = 0, Sequence.empty(group)
     length = 1
     while True:
         found = []
@@ -145,15 +150,15 @@ def _brute_max_failing_multiset(group, weights, check):
 
         enumerate_multisets(group, length, length, visit)
         if not found:
-            return best
-        best = length
+            return best, witness
+        best, witness = length, found[0]
         length += 1
 
 
 def test_davenport_matches_bruteforce():
     g = parse_group("6")
     w = pm(6)
-    brute = _brute_max_failing_multiset(
+    brute, _ = _brute_max_failing_multiset(
         g, w, lambda s: oracle_has_weighted_zero_up_to(s, w, s.length)
     )
     assert davenport(g, w).value == brute + 1
@@ -162,10 +167,25 @@ def test_davenport_matches_bruteforce():
 def test_eta_matches_bruteforce():
     g = parse_group("2,4")
     w = pm(4)
-    brute = _brute_max_failing_multiset(
+    brute, _ = _brute_max_failing_multiset(
         g, w, lambda s: oracle_has_weighted_zero_up_to(s, w, g.exponent)
     )
     assert eta(g, w).value == brute + 1
+
+
+def test_multiset_witnesses_are_colex_first():
+    for spec, w_of in [("2,4", pm), ("6", pm), ("2,2", classic)]:
+        g = parse_group(spec)
+        w = w_of(g.exponent)
+        checks = [
+            (egz, lambda s: oracle_has_weighted_zero_of_length(s, w, g.exponent)),
+            (eta, lambda s: oracle_has_weighted_zero_up_to(s, w, g.exponent)),
+            (davenport, lambda s: oracle_has_weighted_zero_up_to(s, w, s.length)),
+        ]
+        for fn, check in checks:
+            best, witness = _brute_max_failing_multiset(g, w, check)
+            r = fn(g, w)
+            assert (r.value, r.witness) == (best + 1, witness), (spec, fn.__name__)
 
 
 def test_harborth_matches_bruteforce():
@@ -191,7 +211,7 @@ def test_harborth_matches_bruteforce():
 def test_critical_matches_bruteforce():
     g = parse_group("8")
     full = set(range(8))
-    best = 0
+    best, witness = 0, None
     for length in range(1, 8):
         found = []
 
@@ -206,8 +226,10 @@ def test_critical_matches_bruteforce():
 
         enumerate_squarefree(g, length, visit)
         if found:
-            best = length
-    assert critical_number(g).value == best + 1
+            best, witness = length, found[0]
+    r = critical_number(g)
+    assert r.value == best + 1
+    assert r.witness == witness
 
 
 # -- witness contracts -------------------------------------------------------------
@@ -258,6 +280,41 @@ def test_census_members_all_fail_and_are_distinct():
         assert s.length == report.value - 1
         assert s.is_squarefree
         assert not oracle_has_weighted_zero_of_length(s, w, g.exponent)
+
+
+_CORRUPTED_WITNESS_RUN = textwrap.dedent("""
+    import dataclasses, sys
+    import zerosum.engine as engine
+    from zerosum.groups import parse_group
+    from zerosum.sequences import Sequence, WeightSet
+
+    assert False, "asserts are on; this check must run under python -O"
+    search = engine._search_max_failing
+
+    def corrupted(group, *args, **kwargs):
+        result = search(group, *args, **kwargs)
+        # same length as the true witness, but it holds a zero-sum of length 6
+        bad = Sequence.from_indices(group, range(result.witness.length))
+        return dataclasses.replace(result, witness=bad)
+
+    engine._search_max_failing = corrupted
+    g = parse_group("2,6")
+    try:
+        engine.harborth(g, WeightSet.plus_minus(6))
+    except engine.InternalCheckError as exc:
+        print("caught:", exc)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+def test_witness_check_survives_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_WITNESS_RUN],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "caught: internal check failed" in proc.stdout
 
 
 # -- determinism, orbit pruning, budget ---------------------------------------------
@@ -335,6 +392,10 @@ def test_input_validation():
         compute_constant(ConstantKind.CRITICAL, g, pm(4))  # no weights allowed
     with pytest.raises(ValueError):
         compute_constant(ConstantKind.DAVENPORT, g, None)  # weights required
+    with pytest.raises(SearchInputError):
+        harborth(g, pm(4), threads=0)
+    with pytest.raises(SearchInputError):
+        harborth(g, pm(4), node_budget=-1)
 
 
 def test_report_serialization_shape():

@@ -7,7 +7,6 @@ from zerosum.groups import (
     GroupCeilingError,
     GroupMismatchError,
     GroupSpec,
-    Hom,
     SumSet,
     coset_index_mod_2G,
     doubling_subgroup,
@@ -244,34 +243,15 @@ def test_bases_rejects_wrong_shape():
         enumerate_bases_2x2n(GroupSpec([4, 4]))
 
 
-def test_hom_projection_and_quotient():
-    g = GroupSpec([2, 4])
-    pi2 = Hom.projection(g, 1)
-    assert pi2.target == GroupSpec([4])
-    assert pi2(g.element((1, 3))).coords == (3,)
-    q = Hom.quotient_mod_doubles(g)
-    assert q.target == GroupSpec([2, 2])
-    assert q(g.element((1, 3))).coords == (1, 1)
-    assert q(g.element((0, 2))).coords == (0, 0)
-    with pytest.raises(ValueError):
-        Hom.quotient_mod_doubles(GroupSpec([3, 3]))
-    with pytest.raises(ValueError):
-        Hom.projection(g, 2)
-
-
-def test_hom_translation_dilation():
-    g = GroupSpec([2, 6])
-    tr = Hom.translation(g, g.element((1, 2)))
-    assert tr(g.element((1, 5))).coords == (0, 1)
-    di = Hom.dilation(g, 2)
-    assert di(g.element((1, 4))).coords == (0, 2)
-
-
 def test_automorphisms_small_groups():
     # |Aut(C_n)| = phi(n); |Aut(C2xC2)| = 6
     assert len(GroupSpec([5]).automorphisms) == 4
     assert len(GroupSpec([6]).automorphisms) == 2
     assert len(GroupSpec([2, 2]).automorphisms) == 6
+    assert len(GroupSpec([2, 2, 2]).automorphisms) == 168  # |GL(3,2)|
+    # C2^5 would try 31^5 candidate maps; refused before building any
+    with pytest.raises(ValueError, match="candidate maps"):
+        GroupSpec([2] * 5).automorphisms
     g = GroupSpec([2, 4])
     for perm in g.automorphisms:
         assert sorted(perm) == list(range(g.order))

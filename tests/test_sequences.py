@@ -4,12 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from zerosum.groups import GroupSpec, Hom, SumSet
+from zerosum.groups import GroupSpec, SumSet
 from zerosum.sequences import (
     LengthSumTable,
     Sequence,
     WeightSet,
-    apply_hom,
     enumerate_multisets,
     enumerate_squarefree,
     has_weighted_zero_of_length,
@@ -19,6 +18,7 @@ from zerosum.sequences import (
     oracle_has_weighted_zero_up_to,
     oracle_nonempty_subsums,
     sigma,
+    subsum_kernel,
     subsums_sigma0,
     weighted_length_sums_oracle,
     weighted_sums,
@@ -224,6 +224,26 @@ def test_length_sum_table_against_oracle_random_larger():
                     assert set(table.row(ln).indices()) == oracle[ln]
 
 
+def test_subsum_kernel_dead_flag_and_input_rows_kept():
+    rng = random.Random(43)
+    for factors in [(2, 4), (6,), (3, 3)]:
+        g = GroupSpec(factors)
+        for w in [WeightSet.plus_minus(g.exponent), WeightSet.classic(g.exponent)]:
+            zero_lengths = (1, g.exponent)
+            for _ in range(20):
+                stream = [rng.randrange(g.order) for _ in range(rng.randrange(1, 7))]
+                rows, push = subsum_kernel(g, w, g.exponent, zero_lengths)
+                for size, i in enumerate(stream, 1):
+                    before = list(rows)
+                    new, dead = push(rows, i, size)
+                    assert rows == before  # a search backtracks to the old rows
+                    rows = new
+                    oracle = weighted_length_sums_oracle(Sequence.from_indices(g, stream[:size]), w)
+                    assert dead == any(0 in oracle.get(j, ()) for j in zero_lengths), (stream, size)
+                    for ln in range(min(size, g.exponent) + 1):
+                        assert set(SumSet(g, rows[ln]).indices()) == oracle[ln]
+
+
 def test_has_weighted_zero_of_length():
     g = GroupSpec([2, 2])
     classic = WeightSet.classic(2)
@@ -297,20 +317,6 @@ def test_enumerate_multisets_counts_and_order():
     assert capped == [t for t in seen if len(set(t)) == 3]
     with pytest.raises(ValueError):
         enumerate_multisets(g, 2, 0, seen.append)
-
-
-def test_apply_hom_preserves_length():
-    g = GroupSpec([2, 4])
-    s = Sequence.parse(g, "(1,3);(0,2)^2;(1,0)")
-    pi2 = Hom.projection(g, 1)
-    img = apply_hom(pi2, s)
-    assert img.group == GroupSpec([4])
-    assert img.length == s.length
-    assert img.literal() == "(0);(2)^2;(3)"
-    q = Hom.quotient_mod_doubles(g)
-    assert apply_hom(q, s).length == s.length
-    tr = Hom.translation(g, g.element((0, 1)))
-    assert sigma(apply_hom(tr, s)) == sigma(s) + 4 * g.element((0, 1))
 
 
 def test_recursive_oracles_match_full_enumeration():
