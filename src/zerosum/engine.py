@@ -125,17 +125,17 @@ class SearchReport:
 def _default_threads() -> int:
     raw = os.environ.get("ZEROSUM_THREADS", "1")
     try:
-        n = int(raw)
+        return int(raw)
     except ValueError:
         raise SearchInputError(f"ZEROSUM_THREADS must be an integer, got {raw!r}") from None
-    return max(n, 1)
 
 
 def _run_limits(threads: int | None, node_budget: int | None) -> tuple[int, int]:
+    source = "threads" if threads is not None else "ZEROSUM_THREADS"
     threads = threads if threads is not None else _default_threads()
     node_budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
     if threads < 1:
-        raise SearchInputError(f"threads must be at least 1, got {threads}")
+        raise SearchInputError(f"{source} must be at least 1, got {threads}")
     if node_budget < 0:
         raise SearchInputError(f"node budget must be nonnegative, got {node_budget}")
     return threads, node_budget

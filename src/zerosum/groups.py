@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 DEFAULT_ORDER_CEILING = 64
@@ -134,17 +134,40 @@ class GroupSpec:
 
     # -- index arithmetic --------------------------------------------------
 
+    # The tables are built from the coordinate formulas, not from
+    # translate_bits, so the two stay independent checks of each other.
+
+    @cached_property
+    def add_table(self) -> tuple[tuple[int, ...], ...]:
+        """``add_table[i][j]`` is the index of i + j (built on first use)."""
+        coords = [self.coords_of(i) for i in range(self.order)]
+        return tuple(
+            tuple(self.index_of([(a + b) % n for a, b, n in zip(ci, cj, self.invariant_factors)]) for cj in coords)
+            for ci in coords
+        )
+
+    @cached_property
+    def scale_table(self) -> tuple[tuple[int, ...], ...]:
+        """``scale_table[k][i]`` is the index of k*i for 0 <= k < exponent."""
+        coords = [self.coords_of(i) for i in range(self.order)]
+        return tuple(
+            tuple(self.index_of([(k * c) % n for c, n in zip(ci, self.invariant_factors)]) for ci in coords)
+            for k in range(self.exponent)
+        )
+
     def add_indices(self, i: int, j: int) -> int:
-        ci = self.coords_of(i)
-        cj = self.coords_of(j)
-        return self.index_of((a + b) % n for a, b, n in zip(ci, cj, self.invariant_factors))
+        # a negative index would wrap around in the table, so check first
+        if not (0 <= i < self.order and 0 <= j < self.order):
+            raise ValueError(f"element index {j if 0 <= i < self.order else i} out of range [0,{self.order})")
+        return self.add_table[i][j]
 
     def neg_index(self, i: int) -> int:
         return self.scale_index(-1, i)
 
     def scale_index(self, k: int, i: int) -> int:
-        cs = self.coords_of(i)
-        return self.index_of((k * c) % n for c, n in zip(cs, self.invariant_factors))
+        if not 0 <= i < self.order:
+            raise ValueError(f"element index {i} out of range [0,{self.order})")
+        return self.scale_table[k % self.exponent][i]
 
     def order_of_index(self, i: int) -> int:
         cs = self.coords_of(i)
@@ -461,9 +484,16 @@ class Basis2x2n:
 def enumerate_bases_2x2n(group: GroupSpec) -> list[Basis2x2n]:
     """All ordered bases of a C2 + C2n group, sorted by (index(e1), index(e2)).
 
-    Brute force: try every pair with the right element orders and keep it
-    exactly when a1*e1 + a2*e2 hits every element once.
+    Built once per group; each call returns a fresh list, so a caller that
+    edits it leaves the cached bases alone.
     """
+    return list(_bases_2x2n(group))
+
+
+@lru_cache(maxsize=64)
+def _bases_2x2n(group: GroupSpec) -> tuple[Basis2x2n, ...]:
+    """Brute force: try every pair with the right element orders and keep it
+    exactly when a1*e1 + a2*e2 hits every element once."""
     n2 = group.shape_2x2n()
     if n2 is None:
         raise ValueError(f"basis enumeration needs a C2+C2n group, got {group}")
@@ -478,7 +508,6 @@ def enumerate_bases_2x2n(group: GroupSpec) -> list[Basis2x2n]:
                 continue
             coords: list[tuple[int, int] | None] = [None] * N
             seen = 0
-            idx = 0
             for a1 in range(2):
                 acc = group.scale_index(a1, i)
                 for a2 in range(exp):
@@ -493,4 +522,4 @@ def enumerate_bases_2x2n(group: GroupSpec) -> list[Basis2x2n]:
                         coords=tuple(coords),  # type: ignore[arg-type]
                     )
                 )
-    return out
+    return tuple(out)

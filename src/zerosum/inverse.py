@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import comb
 
 from zerosum.engine import ConstantKind, InternalCheckError, failing_census
@@ -113,11 +114,12 @@ def _require_shape(seq: Sequence, n_parity: str | None, n_min: int) -> int:
     return n
 
 
-def _basis_split(group: GroupSpec, basis, seq: Sequence) -> tuple[list[int], list[int]]:
+def _basis_split(basis, idxs: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Coordinates along e2 for the terms with e1-coordinate 0 and 1."""
     parts: tuple[list[int], list[int]] = ([], [])
-    for idx in seq.indices():
-        a1, a2 = basis.coords_of(idx)
+    coords = basis.coords
+    for idx in idxs:
+        a1, a2 = coords[idx]
         parts[a1].append(a2)
     return parts
 
@@ -131,8 +133,9 @@ def predicate_c2c4_pm(seq: Sequence) -> bool:
         raise HypothesisError(f"characterization is specific to C2 x C4, not {group.describe()}")
     if not seq.is_squarefree or seq.length != 4:
         return False
+    idxs = seq.indices()
     for basis in enumerate_bases_2x2n(group):
-        s0, s1 = _basis_split(group, basis, seq)
+        s0, s1 = _basis_split(basis, idxs)
         sizes = sorted((len(s0), len(s1)))
         if sizes == [1, 3]:
             return True
@@ -146,11 +149,17 @@ def predicate_c2c4_pm(seq: Sequence) -> bool:
     return False
 
 
+@lru_cache(maxsize=64)
+def _coset_table(group: GroupSpec) -> tuple[int, ...]:
+    """``coset_index_mod_2G`` of every element index."""
+    return tuple(coset_index_mod_2G(group, idx) for idx in range(group.order))
+
+
 def _coset_counts_mod_doubles(seq: Sequence) -> list[int]:
-    group = seq.group
+    coset = _coset_table(seq.group)
     counts = [0, 0, 0, 0]
     for idx in seq.indices():
-        counts[coset_index_mod_2G(group, idx)] += 1
+        counts[coset[idx]] += 1
     return counts
 
 
@@ -169,11 +178,36 @@ def _involution_coset_reps(group: GroupSpec) -> list[int]:
     return reps
 
 
-def _coset_of(group: GroupSpec, two_g, reps: list[int], idx: int) -> int:
-    for c, r in enumerate(reps):
-        if group.add_indices(idx, group.neg_index(r)) in two_g:
-            return c
-    raise InternalCheckError("element in no coset")
+@lru_cache(maxsize=64)
+def _odd_layout(group: GroupSpec):
+    """What predicate_unweighted_odd needs of a C2 x C2n group (odd n), as
+    ``(halves, split, pair_masks)``: ``halves[x]`` lists every h with 2h = x,
+    ``split[t]`` is ``(c, t - reps[c])`` for the class c of t, and each pair
+    {g, -g} in 2G without 0 has one mask holding the bits of g and -g."""
+    N = group.order
+    two_g = doubling_subgroup(group)
+    reps = _involution_coset_reps(group)
+    split = []
+    for t in range(N):
+        for c, r in enumerate(reps):
+            offset = group.add_indices(t, group.neg_index(r))
+            if offset in two_g:
+                split.append((c, offset))
+                break
+        else:
+            raise InternalCheckError("element in no coset")
+    halves: list[list[int]] = [[] for _ in range(N)]
+    for h in range(N):
+        halves[group.scale_index(2, h)].append(h)
+    pair_masks = []
+    seen = set()
+    for g in two_g.indices():
+        if g == 0 or g in seen:
+            continue
+        neg = group.neg_index(g)
+        seen.update((g, neg))
+        pair_masks.append(1 << g | 1 << neg)
+    return tuple(map(tuple, halves)), tuple(split), tuple(pair_masks)
 
 
 def predicate_pm_general(seq: Sequence) -> bool:
@@ -193,11 +227,11 @@ def _pm_general_via_basis(seq: Sequence) -> bool:
     n = _require_shape(seq, None, 3)
     if not seq.is_squarefree or seq.length != 2 * n + 1:
         return False
-    group = seq.group
-    for basis in enumerate_bases_2x2n(group):
+    idxs = seq.indices()
+    for basis in enumerate_bases_2x2n(seq.group):
         sizes = [0, 0, 0, 0]
-        for idx in seq.indices():
-            a1, a2 = basis.coords_of(idx)
+        for idx in idxs:
+            a1, a2 = basis.coords[idx]
             sizes[a1 + 2 * (a2 % 2)] += 1
         if sum(1 for s in sizes if s == 0) == 1 and all(s % 2 == 1 for s in sizes if s):
             return True
@@ -210,9 +244,9 @@ def predicate_unweighted_even(seq: Sequence) -> bool:
     n = _require_shape(seq, "even", 3)
     if not seq.is_squarefree or seq.length != 2 * n + 1:
         return False
-    group = seq.group
-    for basis in enumerate_bases_2x2n(group):
-        s0, s1 = _basis_split(group, basis, seq)
+    idxs = seq.indices()
+    for basis in enumerate_bases_2x2n(seq.group):
+        s0, s1 = _basis_split(basis, idxs)
         total = (sum(s0) + sum(s1)) % (2 * n)
         odd_part = s0 if len(s0) % 2 == 1 else s1
         if total not in odd_part:
@@ -229,44 +263,26 @@ def predicate_unweighted_odd(seq: Sequence) -> bool:
     if not seq.is_squarefree or seq.length != 2 * n + 2:
         return False
     group = seq.group
+    add = group.add_table
+    idxs = seq.indices()
     sig = 0
-    for idx in seq.indices():
-        sig = group.add_indices(sig, idx)
-    shifts = [h for h in range(group.order) if group.scale_index(2, h) == sig]
-    if not shifts:
-        return False
-    two_g = doubling_subgroup(group)
-    reps = _involution_coset_reps(group)
+    for idx in idxs:
+        sig = add[sig][idx]
+    halves, split, pair_masks = _odd_layout(group)
     half = (n + 1) // 2
-    pairs = []
-    seen = set()
-    for g in two_g.indices():
-        if g == 0 or g in seen:
-            continue
-        seen.add(g)
-        seen.add(group.neg_index(g))
-        pairs.append((g, group.neg_index(g)))
-    for h in shifts:
-        neg_h = group.neg_index(h)
-        parts: list[list[int]] = [[], [], [], []]
-        for idx in seq.indices():
-            t = group.add_indices(idx, neg_h)
-            c = _coset_of(group, two_g, reps, t)
-            parts[c].append(group.add_indices(t, group.neg_index(reps[c])))
-        if any(len(p) != half for p in parts):
-            continue
-        ok = True
-        for p in parts:
-            members = set(p)
-            if any((a in members) == (b in members) for a, b in pairs):
-                ok = False
-                break
-        if not ok:
-            continue
+    for h in halves[sig]:
+        translate = add[group.neg_index(h)]
+        parts = [0, 0, 0, 0]  # in-class offsets of the translated terms, as bit masks
         total = 0
-        for p in parts:
-            for x in p:
-                total = group.add_indices(total, x)
+        for idx in idxs:
+            c, offset = split[translate[idx]]
+            parts[c] |= 1 << offset
+            total = add[total][offset]
+        if any(p.bit_count() != half for p in parts):
+            continue
+        # one of each opposite pair: a pair both in or both out fails
+        if any((p & m) in (0, m) for p in parts for m in pair_masks):
+            continue
         if total == 0:
             return True
     return False

@@ -164,6 +164,16 @@ def test_zero_threads_exits_64(capsys):
     assert err.startswith("zerosum: error:") and "threads" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_zero_threads_from_environment_exits_64(capsys, monkeypatch, value):
+    monkeypatch.setenv("ZEROSUM_THREADS", value)
+    code, out, err = run(capsys, "compute", "--group", "6", "--weights", "pm",
+                         "--kind", "harborth")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("zerosum: error:") and "ZEROSUM_THREADS" in err
+
+
 def test_orbit_pruning_on_large_elementary_group_refused_fast(capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "compute", "--group", "2,2,2,2,2", "--kind", "harborth",

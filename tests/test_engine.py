@@ -1,12 +1,15 @@
 """Search engine checks: known small values, witness contracts, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import zerosum
 from zerosum.engine import (
     ConstantKind,
     SearchBudgetExceeded,
@@ -309,9 +312,12 @@ _CORRUPTED_WITNESS_RUN = textwrap.dedent("""
 
 
 def test_witness_check_survives_python_O():
+    # the child imports the same zerosum as this process, however it was found
+    src = str(Path(zerosum.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _CORRUPTED_WITNESS_RUN],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "caught: internal check failed" in proc.stdout

@@ -16,6 +16,7 @@ from zerosum.groups import (
 )
 
 SMALL_GROUPS = [(2,), (3,), (4,), (2, 2), (6,), (2, 4), (8,), (3, 3), (2, 6), (2, 2, 2), (12,), (2, 12)]
+ORDER_64_GROUPS = [(64,), (2, 32), (4, 16), (8, 8), (2, 2, 16), (2, 2, 2, 2, 2, 2)]
 
 
 def test_parse_group_round_trip():
@@ -95,6 +96,29 @@ def test_total_order_by_index():
     elems = list(g.elements())
     assert elems == sorted(elems)
     assert g.element((1, 0)) < g.element((0, 1))
+
+
+def test_arithmetic_tables_match_coordinate_formula():
+    for factors in SMALL_GROUPS + ORDER_64_GROUPS:
+        g = GroupSpec(factors)
+        exp = g.exponent
+        coords = [g.coords_of(i) for i in range(g.order)]
+        for i, ci in enumerate(coords):
+            assert g.neg_index(i) == g.index_of((-c) % n for c, n in zip(ci, factors))
+            for j, cj in enumerate(coords):
+                assert g.add_indices(i, j) == g.index_of((a + b) % n for a, b, n in zip(ci, cj, factors))
+            for k in range(-exp - 1, 2 * exp + 1):
+                assert g.scale_index(k, i) == g.index_of((k * c) % n for c, n in zip(ci, factors))
+        # a table lookup would wrap -1 around to the last element
+        for bad in (-1, g.order):
+            with pytest.raises(ValueError):
+                g.add_indices(bad, 0)
+            with pytest.raises(ValueError):
+                g.add_indices(0, bad)
+            with pytest.raises(ValueError):
+                g.neg_index(bad)
+            with pytest.raises(ValueError):
+                g.scale_index(3, bad)
 
 
 def test_translation_ops_against_element_wise_oracle():
@@ -230,6 +254,20 @@ def test_enumerate_bases_against_oracle():
             for idx in range(g.order):
                 a1, a2 = b.coords[idx]
                 assert b.combine(a1, a2).index == idx
+
+
+def test_enumerate_bases_cache_survives_caller_edits():
+    g = GroupSpec([2, 6])
+    expect = list(enumerate_bases_2x2n(g))
+    edits = [
+        lambda bases: bases.append(bases[0]),
+        lambda bases: bases.pop(),
+        lambda bases: bases.clear(),
+    ]
+    for edit in edits:
+        edit(enumerate_bases_2x2n(g))
+        assert enumerate_bases_2x2n(g) == expect
+    assert [(b.e1.index, b.e2.index) for b in enumerate_bases_2x2n(g)] == sorted(_oracle_bases(g))
 
 
 def test_klein_group_has_six_bases():

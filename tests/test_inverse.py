@@ -1,8 +1,10 @@
 """Extremal sequence census and structure predicate checks."""
 
+import random
+
 import pytest
 
-from zerosum.groups import parse_group
+from zerosum.groups import GroupSpec, parse_group
 from zerosum.inverse import (
     HypothesisError,
     TheoremId,
@@ -204,6 +206,42 @@ def test_pm_general_coset_and_basis_forms_agree():
         assert predicate_pm_general(s) == _pm_general_via_basis(s)
 
     assert enumerate_squarefree(g, 7, check) == 792
+
+
+def test_equal_groups_give_equal_verdicts():
+    # two equal groups built apart: the per-group tables filled while judging
+    # one must give the other the same verdicts
+    a, b = GroupSpec([2, 10]), GroupSpec([2, 10])
+    assert a == b and a is not b
+    rng = random.Random(20)
+    autos = a.automorphisms
+    odd_shape = [(x, y) for x in (0, 1) for y in range(6)]
+    pm_shape = [(x, y) for x in (0, 1) for y in range(0, 10, 2)] + [(0, 1)]
+
+    def candidates(shape):
+        # odd k: a uniform random subset; even k: an image of an accepted
+        # shape under an automorphism and a translation, every other one
+        # with a term swapped out
+        for k in range(200):
+            if k % 2:
+                idxs = rng.sample(range(a.order), len(shape))
+            else:
+                perm, shift = rng.choice(autos), rng.randrange(a.order)
+                idxs = [a.add_indices(perm[a.index_of(c)], shift) for c in shape]
+                if k % 4 == 2:
+                    idxs[rng.randrange(len(idxs))] = rng.choice(sorted(set(range(a.order)) - set(idxs)))
+            yield idxs
+
+    odd_verdicts = []
+    for idxs in candidates(odd_shape):
+        odd_verdicts.append(predicate_unweighted_odd(Sequence.from_indices(a, idxs)))
+        assert predicate_unweighted_odd(Sequence.from_indices(b, idxs)) == odd_verdicts[-1], idxs
+    pm_verdicts = []
+    for idxs in candidates(pm_shape):
+        sa, sb = Sequence.from_indices(a, idxs), Sequence.from_indices(b, idxs)
+        pm_verdicts.append(predicate_pm_general(sb))
+        assert predicate_pm_general(sa) == pm_verdicts[-1] == _pm_general_via_basis(sa), idxs
+    assert set(odd_verdicts) == set(pm_verdicts) == {True, False}
 
 
 # -- hypothesis checking -------------------------------------------------------------
