@@ -4,11 +4,14 @@ Subcommands: ``compute`` one constant with a formula cross-check, ``enumerate``
 the extremal census one below it, ``verify`` a structure description against
 the census, ``table`` a family of groups row by row.
 
+Every search runs sequentially under one node budget (``--node-budget``,
+counted over the whole computation).
+
 Exit codes: 0 success or agreement, 2 a formula or census disagreement,
-3 node budget exceeded, 64 bad command line or search input the engine
-refuses, 65 hypothesis mismatch.
-Default output is byte-identical across runs and thread counts; timing
-appears only with --perf.
+3 node budget exceeded, 64 bad command line (including unknown flags) or
+search input the engine refuses, 65 hypothesis mismatch.
+Default output is byte-identical across runs; timing appears only with
+--perf.
 """
 
 from __future__ import annotations
@@ -46,10 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_run_flags(p):
     p.add_argument("--output", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--threads", type=int, help="worker threads, default ZEROSUM_THREADS or 1")
-    p.add_argument("--node-budget", type=int, help="abort the search past this many nodes")
-    p.add_argument("--orbit-pruning", action="store_true",
-                   help="skip symmetry-equivalent branches during value rounds")
+    p.add_argument("--node-budget", type=int, help="abort the search past this many nodes in all")
     p.add_argument("--perf", action="store_true", help="include wall time in reports")
 
 
@@ -115,14 +115,7 @@ def _range_arg(text: str) -> tuple[int, int]:
 
 
 def _engine_opts(args) -> dict:
-    opts = {}
-    if args.threads is not None:
-        opts["threads"] = args.threads
-    if args.node_budget is not None:
-        opts["node_budget"] = args.node_budget
-    if args.orbit_pruning:
-        opts["orbit_pruning"] = True
-    return opts
+    return {} if args.node_budget is None else {"node_budget": args.node_budget}
 
 
 def _verdict(fv: FormulaValue, value: int) -> str | None:

@@ -13,26 +13,22 @@ contains zero in a forbidden row is dead, and so is every extension, which
 is what keeps the walk far below the raw binomial counts.  A value round
 records each chain longer than the best so far, so its first chain of the
 maximal length is the colex-least witness.  The same walk with the length
-fixed lists every failing sequence of that length for a census.  With orbit
-pruning, the value round walks the reversed universe and skips chains that
-are not lex-least in their orbit under the group's automorphisms; an exact
-scan then finds the witness.
+fixed lists every failing sequence of that length for a census.
 
-Determinism contract: the set of nodes visited depends only on the search
-inputs, never on the thread count.  The walk forks into one task per topmost
-element; tasks never share discoveries mid-flight, and their results merge
-in element order.  Reported node counts and witnesses are therefore
-byte-stable across runs and across ``threads`` settings.
+Determinism contract: the search is sequential and the set of nodes visited
+depends only on the search inputs.  Roots (topmost elements) are walked one
+after another in element order, each from the same starting bound, so no
+root prunes with what an earlier root found.  One node budget covers the
+whole computation, every value round and the exact scan, and the walk stops
+at the first node past it.  Reported node counts, witnesses and budget aborts
+are therefore byte-stable across runs.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Iterable
 
 from zerosum.groups import GroupSpec
@@ -49,7 +45,10 @@ DEFAULT_NODE_BUDGET = 50_000_000
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The search hit its node budget before finishing; no partial answer."""
+    """The search hit its node budget before finishing; no partial answer.
+
+    ``nodes`` is the total the computation had used, ``budget + 1``.
+    """
 
     def __init__(self, nodes: int, budget: int):
         super().__init__(f"search exceeded node budget ({nodes} > {budget})")
@@ -95,7 +94,7 @@ class SearchReport:
 
     ``wall_time_ms`` is the only field that varies between identical runs;
     serialization leaves it out unless asked, so default reports are
-    byte-identical across runs and thread counts.
+    byte-identical across runs.
     """
 
     kind: ConstantKind
@@ -122,23 +121,12 @@ class SearchReport:
         return out
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("ZEROSUM_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise SearchInputError(f"ZEROSUM_THREADS must be an integer, got {raw!r}") from None
-
-
-def _run_limits(threads: int | None, node_budget: int | None) -> tuple[int, int]:
-    source = "threads" if threads is not None else "ZEROSUM_THREADS"
-    threads = threads if threads is not None else _default_threads()
-    node_budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
-    if threads < 1:
-        raise SearchInputError(f"{source} must be at least 1, got {threads}")
+def _node_budget(node_budget: int | None) -> int:
+    if node_budget is None:
+        return DEFAULT_NODE_BUDGET
     if node_budget < 0:
         raise SearchInputError(f"node budget must be nonnegative, got {node_budget}")
-    return threads, node_budget
+    return node_budget
 
 
 # -- node state ----------------------------------------------------------------
@@ -159,44 +147,45 @@ def _coverage_engine(group: GroupSpec):
 # -- the walker -------------------------------------------------------------------
 
 
-def _walk(universe, init_state, push, root: int, *, best: int, cap: int, squarefree: bool,
-          collect: bool, budget: int, auts=()):
-    """Walk every live chain whose topmost position is ``root``.
+def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
+          collect: bool, nodes: int, budget: int):
+    """Walk every live chain, one topmost position after another.
 
     A chain is a run of positions into ``universe``, strictly decreasing when
     ``squarefree`` and nonincreasing otherwise, so chains come out in colex
     order.  The walk records the first chain longer than ``best`` each time
     it finds one; squarefree chains that cannot get longer than ``best`` are
     pruned.  A chain of length ``cap`` is a hit: it is kept and not extended,
-    and unless ``collect`` is set the walk stops there.
+    and unless ``collect`` is set the walk moves on to the next root.  Every
+    root starts from the ``best`` passed in.
 
     Value rounds start at ``best = 0``; an exact scan for length L fixes
     ``best = L - 1`` and ``cap = L``, which prunes every chain that cannot
-    reach L.  With ``auts`` a child is skipped when an automorphism fixing
-    the chain maps it to a smaller element: run over the reversed universe,
-    this never prunes the lex-least member of an orbit.
+    reach L.
 
-    Returns ``(best, best_chain, hits, nodes)``.
+    ``nodes`` is the count used before this walk; the walk raises
+    ``SearchBudgetExceeded`` at the first node that takes it past ``budget``.
+
+    Returns ``(length, witness, hits, nodes)``: the longest chain over all
+    roots with its length (the first found, so colex-least), the hits in
+    colex order, and the node count including this walk.
     """
-    nodes = 0
-    best_chain = None
     hits: list[tuple[int, ...]] = []
     chain: list[int] = []
+    start = best
+    best_chain = None
 
-    def grow(state, size: int, children, stab) -> bool:
-        """Try each child position after the live chain; True stops the walk."""
+    def grow(state, size: int, children) -> bool:
+        """Try each child position after the live chain; True ends the root."""
         nonlocal nodes, best, best_chain
         n = size + 1
         for c in children:
             if squarefree and c < best - size:
                 continue
-            e = universe[c]
-            if stab and any(s[e] < e for s in stab):
-                continue
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(nodes, budget)
-            new, dead = push(state, e, n)
+            new, dead = push(state, universe[c], n)
             if dead:
                 continue
             chain.append(c)
@@ -208,23 +197,19 @@ def _walk(universe, init_state, push, root: int, *, best: int, cap: int, squaref
                 if n > best:
                     best, best_chain = n, tuple(chain)
                 below = range(max(0, best - n), c) if squarefree else range(c + 1)
-                if grow(new, n, below, [s for s in stab if s[e] == e] if stab else stab):
+                if grow(new, n, below):
                     return True
             chain.pop()
         return False
 
-    grow(init_state, 0, (root,), auts)
-    return best, best_chain, hits, nodes
-
-
-def _walk_roots(universe, init_state, push, threads: int, **walk_opts):
-    """One walk per topmost position, merged in position order."""
-    task = partial(_walk, universe, init_state, push, **walk_opts)
-    roots = range(len(universe))
-    if threads > 1 and len(roots) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(task, roots))
-    return [task(m) for m in roots]
+    length, witness = start, None
+    for root in range(len(universe)):
+        best, best_chain = start, None
+        grow(init_state, 0, (root,))
+        chain.clear()
+        if best > length:
+            length, witness = best, best_chain
+    return length, witness, hits, nodes
 
 
 # -- search driver -----------------------------------------------------------------
@@ -248,13 +233,11 @@ def _search_max_failing(
     kind: ConstantKind,
     mode: str,
     *,
-    threads: int,
     node_budget: int,
-    auts: tuple[tuple[int, ...], ...] | None,
     want_census: bool,
 ) -> MaxFailingResult:
     """Value rounds until no chain reaches the length cap, then an exact scan
-    when a census is wanted or orbit pruning left no witness."""
+    when a census is wanted.  ``node_budget`` covers every round and the scan."""
     squarefree = mode == "squarefree"
     exp = group.exponent
     if kind is ConstantKind.CRITICAL:
@@ -277,47 +260,32 @@ def _search_max_failing(
             zl = tuple(range(1, cur_ltop + 1))
         return subsum_kernel(group, weights, zl[-1], zl)
 
-    def check_budget():
-        if total_nodes > node_budget:
-            raise SearchBudgetExceeded(total_nodes, node_budget)
-
-    # orbit pruning keeps lex-least chains, which descend the reversed universe
-    value_universe, round_auts = (universe, ()) if auts is None else (universe[::-1], auts)
-    total_nodes = 0
+    nodes = 0
     while True:
         init_state, push = build_engine(ltop)
-        results = _walk_roots(value_universe, init_state, push, threads, best=0, cap=ltop,
-                              squarefree=squarefree, collect=False, budget=node_budget, auts=round_auts)
-        total_nodes += sum(r[3] for r in results)
-        check_budget()
-        if not any(r[2] for r in results):
+        length, chain, hits, nodes = _walk(universe, init_state, push, best=0, cap=ltop,
+                                           squarefree=squarefree, collect=False,
+                                           nodes=nodes, budget=node_budget)
+        if not hits:
             break
         ltop *= 2
         if ltop > safety:
             raise RuntimeError(f"failing lengths for {kind.value} on {group} keep growing past {safety}")
-
-    length, chain = 0, None
-    for best, best_chain, _, _ in results:
-        if best > length:
-            length, chain = best, best_chain
 
     census: tuple[Sequence, ...] | None = None
     if length == 0:
         chain = ()
         if want_census:
             census = (Sequence.empty(group),)
-    elif want_census or auts is not None:
-        results = _walk_roots(universe, init_state, push, threads, best=length - 1, cap=length,
-                              squarefree=squarefree, collect=want_census, budget=node_budget)
-        total_nodes += sum(r[3] for r in results)
-        check_budget()
-        hits = [h for r in results for h in r[2]]
+    elif want_census:
+        _, _, hits, nodes = _walk(universe, init_state, push, best=length - 1, cap=length,
+                                  squarefree=squarefree, collect=True,
+                                  nodes=nodes, budget=node_budget)
         _check(bool(hits), "a witness exists at the established failing length")
         chain = hits[0]
-        if want_census:
-            census = tuple(Sequence.from_indices(group, [universe[p] for p in hit]) for hit in hits)
+        census = tuple(Sequence.from_indices(group, [universe[p] for p in hit]) for hit in hits)
     witness = Sequence.from_indices(group, [universe[p] for p in chain])
-    return MaxFailingResult(length=length, witness=witness, nodes_visited=total_nodes, census=census)
+    return MaxFailingResult(length=length, witness=witness, nodes_visited=nodes, census=census)
 
 
 def _validate_witness(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, witness: Sequence) -> None:
@@ -348,9 +316,7 @@ def _compute(
     weights: WeightSet | None,
     *,
     mode: str | None = None,
-    threads: int | None = None,
     node_budget: int | None = None,
-    orbit_pruning: bool = False,
     want_census: bool = False,
 ):
     t0 = time.perf_counter()
@@ -371,23 +337,9 @@ def _compute(
         raise SearchInputError(f"unknown search mode {mode!r}")
     if kind in (ConstantKind.HARBORTH, ConstantKind.CRITICAL) and mode != "squarefree":
         raise SearchInputError(f"{kind.value} is defined over squarefree sequences")
-    threads, node_budget = _run_limits(threads, node_budget)
-    auts = None
-    if orbit_pruning:
-        try:
-            auts = group.automorphisms
-        except ValueError as exc:
-            raise SearchInputError(f"orbit pruning: {exc}") from exc
-    result = _search_max_failing(
-        group,
-        weights,
-        kind,
-        mode,
-        threads=threads,
-        node_budget=node_budget,
-        auts=auts,
-        want_census=want_census,
-    )
+    node_budget = _node_budget(node_budget)
+    result = _search_max_failing(group, weights, kind, mode, node_budget=node_budget,
+                                 want_census=want_census)
     value = result.length + 1
     _validate_witness(kind, group, weights, result.witness)
     _check(result.witness.length == value - 1, "witness length is one below the value")
@@ -406,20 +358,6 @@ def _compute(
         wall_time_ms=wall_ms,
     )
     return report, result.census
-
-
-def max_failing_length(
-    group: GroupSpec,
-    weights: WeightSet | None,
-    kind: ConstantKind,
-    mode: str | None = None,
-    **opts,
-) -> MaxFailingResult:
-    """Largest length of a sequence failing the kind's property, with witness."""
-    report, _ = _compute(kind, group, weights, mode=mode, **opts)
-    return MaxFailingResult(
-        length=report.value - 1, witness=report.witness, nodes_visited=report.nodes_visited
-    )
 
 
 def harborth(group: GroupSpec, weights: WeightSet, **opts) -> SearchReport:
@@ -472,7 +410,6 @@ def exists_failing_sequence(
     zero_lengths: Iterable[int],
     *,
     mode: str = "multiset",
-    threads: int | None = None,
     node_budget: int | None = None,
 ) -> bool:
     """Whether some length-``length`` sequence avoids weighted zero-sums at
@@ -480,7 +417,7 @@ def exists_failing_sequence(
     zl = tuple(sorted(set(int(j) for j in zero_lengths)))
     if not zl or zl[0] < 1:
         raise SearchInputError("zero_lengths must be positive")
-    threads, node_budget = _run_limits(threads, node_budget)
+    node_budget = _node_budget(node_budget)
     if length == 0:
         return True
     squarefree = mode == "squarefree"
@@ -488,9 +425,6 @@ def exists_failing_sequence(
     if squarefree and length > group.order:
         return False
     init_state, push = subsum_kernel(group, weights, zl[-1], zl)
-    results = _walk_roots(universe, init_state, push, threads, best=length - 1, cap=length,
-                          squarefree=squarefree, collect=False, budget=node_budget)
-    nodes = sum(r[3] for r in results)
-    if nodes > node_budget:
-        raise SearchBudgetExceeded(nodes, node_budget)
-    return any(r[2] for r in results)
+    hits = _walk(universe, init_state, push, best=length - 1, cap=length, squarefree=squarefree,
+                 collect=False, nodes=0, budget=node_budget)[2]
+    return bool(hits)

@@ -18,10 +18,6 @@ from typing import Iterable, Iterator
 
 DEFAULT_ORDER_CEILING = 64
 
-# most candidate maps the brute-force automorphism build tries; C2^4 needs
-# 15^4 = 50,625 and builds in seconds, C2^5 would need 31^5 and never finishes
-_AUTOMORPHISM_CANDIDATE_LIMIT = 100_000
-
 
 class GroupMismatchError(ValueError):
     """Operands belong to different groups."""
@@ -241,50 +237,6 @@ class GroupSpec:
         if self.rank == 2 and self.invariant_factors[0] == 2:
             return self.invariant_factors[1] // 2
         return None
-
-    # -- automorphisms ------------------------------------------------------
-
-    @cached_property
-    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """All automorphisms as index permutations (brute force, cached).
-
-        Candidates send each canonical generator to an element of the same
-        order; a candidate is kept when the induced map is a bijection.
-        Raises ValueError, before building anything, when there are more
-        candidates than the build can afford.
-        """
-        N = self.order
-        pools = [[g for g in range(N) if self.order_of_index(g) == n] for n in self.invariant_factors]
-        candidates = math.prod(len(p) for p in pools)
-        if candidates > _AUTOMORPHISM_CANDIDATE_LIMIT:
-            raise ValueError(
-                f"automorphisms of {self.describe()} need {candidates} candidate maps, "
-                f"above the limit of {_AUTOMORPHISM_CANDIDATE_LIMIT}"
-            )
-        perms = []
-        images = [0] * self.rank
-
-        def build(axis: int) -> None:
-            if axis == self.rank:
-                perm = [0] * N
-                seen = 0
-                for idx in range(N):
-                    cs = self.coords_of(idx)
-                    out = 0
-                    for c, img in zip(cs, images):
-                        for _ in range(c):
-                            out = self.add_indices(out, img)
-                    perm[idx] = out
-                    seen |= 1 << out
-                if seen == self.full_mask:
-                    perms.append(tuple(perm))
-                return
-            for g in pools[axis]:
-                images[axis] = g
-                build(axis + 1)
-
-        build(0)
-        return tuple(perms)
 
 
 def parse_group(text: str, ceiling: int = DEFAULT_ORDER_CEILING) -> GroupSpec:

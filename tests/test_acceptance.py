@@ -1,9 +1,11 @@
 """Acceptance suite.
 
-One test per headline claim, in order.  Each criterion runs at one and at
-eight worker threads, records its canonical JSON payload per thread count,
-and the final determinism criterion compares the recorded bytes.  Time
-limits are the stated expectations, not tuning targets.
+One test per headline claim, in order.  Each criterion runs in two passes,
+the first with every per-group cache of the package emptied and the second
+with those caches filled by the first, and records its canonical JSON
+payload per pass; the final determinism criterion compares the recorded
+bytes pass against pass.  Time limits are the stated expectations, not
+tuning targets.
 """
 
 import json
@@ -11,6 +13,7 @@ import random
 import time
 from itertools import combinations
 
+from zerosum import groups, inverse, sequences
 from zerosum.engine import (
     critical_number,
     davenport,
@@ -43,7 +46,7 @@ from zerosum.sequences import (
     weighted_sums,
 )
 
-THREADS = (1, 8)
+PASSES = ("cold", "warm")
 
 # every abelian group of order at most 16, one invariant factor chain each
 SMALL_GROUPS = [
@@ -54,7 +57,7 @@ SMALL_GROUPS = [
 EVEN_ORDER_GROUPS = [s for s in SMALL_GROUPS
                      if parse_group(s).order % 2 == 0 and parse_group(s).order >= 4]
 
-_reports: dict[str, dict[int, str]] = {}
+_reports: dict[str, dict[str, str]] = {}
 
 
 def pm(n):
@@ -65,8 +68,20 @@ def classic(n):
     return WeightSet.classic(n)
 
 
-def record(key, threads, payload):
-    _reports.setdefault(key, {})[threads] = json.dumps(payload, sort_keys=True)
+def passes():
+    """Yield each pass name; the cold pass starts with every per-group
+    ``lru_cache`` in the package empty."""
+    for name in PASSES:
+        if name == "cold":
+            for module in (groups, inverse, sequences):
+                for obj in vars(module).values():
+                    if hasattr(obj, "cache_clear"):
+                        obj.cache_clear()
+        yield name
+
+
+def record(key, pass_name, payload):
+    _reports.setdefault(key, {})[pass_name] = json.dumps(payload, sort_keys=True)
 
 
 def finish(criterion, started, limit):
@@ -84,71 +99,71 @@ def cyclic_weight_grid():
 
 def test_criterion_01_squarefree_pm_values():
     t0 = time.time()
-    for threads in THREADS:
+    for pass_name in passes():
         payload = []
         for n in range(1, 6):
-            r = harborth(parse_group(f"2,{2 * n}"), pm(2 * n), threads=threads)
+            r = harborth(parse_group(f"2,{2 * n}"), pm(2 * n))
             payload.append(r.to_dict())
         assert [p["value"] for p in payload] == [5, 5, 8, 10, 12]
-        record("c1", threads, payload)
+        record("c1", pass_name, payload)
     finish(1, t0, 60)
 
 
 def test_criterion_02_squarefree_classic_values():
     t0 = time.time()
-    for threads in THREADS:
+    for pass_name in passes():
         payload = []
         for n in range(1, 6):
-            r = harborth(parse_group(f"2,{2 * n}"), classic(2 * n), threads=threads)
+            r = harborth(parse_group(f"2,{2 * n}"), classic(2 * n))
             payload.append(r.to_dict())
         assert [p["value"] for p in payload] == [5, 6, 9, 10, 13]
-        record("c2", threads, payload)
+        record("c2", pass_name, payload)
     finish(2, t0, 60)
 
 
 def test_criterion_03_cyclic_formula_grid():
     t0 = time.time()
-    for threads in THREADS:
+    for pass_name in passes():
         payload = []
         count = 0
         for n, w in cyclic_weight_grid():
-            r = harborth(parse_group(str(n)), w, threads=threads)
+            r = harborth(parse_group(str(n)), w)
             fv = harborth_formula(parse_group(str(n)), w)
             assert fv.is_point and r.value == fv.value, (n, w.classes, r.value, fv)
             payload.append(r.to_dict())
             count += 1
         assert count == 286
-        record("c3", threads, payload)
+        record("c3", pass_name, payload)
     finish(3, t0, 600)
 
 
 def test_criterion_04_order_plus_one_boundary():
     t0 = time.time()
-    for threads in THREADS:
+    for pass_name in passes():
         payload = []
         for n, w in cyclic_weight_grid():
             g = parse_group(str(n))
-            r = harborth(g, w, threads=threads)
+            r = harborth(g, w)
             assert (r.value == g.order + 1) == gw_equals_order_plus_one(g, w), (n, w.classes)
             payload.append(r.to_dict())
         for k in range(1, 5):
             g = parse_group(",".join(["2"] * k))
-            r = harborth(g, classic(2), threads=threads)
+            r = harborth(g, classic(2))
             assert r.value == g.order + 1
             assert gw_equals_order_plus_one(g, classic(2))
             payload.append(r.to_dict())
-        record("c4", threads, payload)
+        record("c4", pass_name, payload)
     finish(4, t0, 600)
 
 
 def test_criterion_05_egz_pm_values():
     t0 = time.time()
-    for threads in THREADS:
-        small = egz(parse_group("2,4"), pm(4), threads=threads)
-        klein = egz(parse_group("2,2"), pm(2), threads=threads)
-        larger = egz(parse_group("2,6"), pm(6), threads=threads, orbit_pruning=True)
+    for pass_name in passes():
+        small = egz(parse_group("2,4"), pm(4))
+        klein = egz(parse_group("2,2"), pm(2))
+        larger = egz(parse_group("2,6"), pm(6))
         assert (small.value, klein.value, larger.value) == (7, 5, 9)
-        record("c5", threads, [small.to_dict(), klein.to_dict(), larger.to_dict()])
+        record("c5", pass_name, [small.to_dict(), klein.to_dict(), larger.to_dict()])
     t1 = time.time()
     assert egz(parse_group("2,4"), pm(4)).value == 7
     assert time.time() - t1 < 1
@@ -157,13 +172,13 @@ def test_criterion_05_egz_pm_values():
 
 def test_criterion_06_davenport_eta_pm():
     t0 = time.time()
-    for threads in THREADS:
+    for pass_name in passes():
         payload = []
         dav, et = [], []
         for n in range(1, 7):
             g = parse_group(f"2,{2 * n}")
-            rd = davenport(g, pm(2 * n), threads=threads)
-            re = eta(g, pm(2 * n), threads=threads)
+            rd = davenport(g, pm(2 * n))
+            re = eta(g, pm(2 * n))
             fd = davenport_formula(g, pm(2 * n))
             fe = eta_formula(g, pm(2 * n))
             assert fd.is_point and rd.value == fd.value, (n, rd.value, fd)
@@ -173,22 +188,22 @@ def test_criterion_06_davenport_eta_pm():
             payload += [rd.to_dict(), re.to_dict()]
         assert dav == [3, 4, 4, 5, 5, 5]
         assert et == [4, 4, 4, 5, 5, 5]
-        record("c6", threads, payload)
+        record("c6", pass_name, payload)
     finish(6, t0, 60)
 
 
 def test_criterion_07_critical_numbers():
     t0 = time.time()
-    for threads in THREADS:
+    for pass_name in passes():
         payload = []
         for spec in EVEN_ORDER_GROUPS:
             g = parse_group(spec)
-            r = critical_number(g, threads=threads)
+            r = critical_number(g)
             fv = critical_formula(g)
             assert fv.is_point and r.value == fv.value, (spec, r.value, fv)
             payload.append(r.to_dict())
         assert len(payload) == 15
-        record("c7", threads, payload)
+        record("c7", pass_name, payload)
     finish(7, t0, 300)
 
 
@@ -203,24 +218,24 @@ def test_criterion_08_characterizations():
         (TheoremId.UNWEIGHTED_ODD, "2,6", 18),
         (TheoremId.UNWEIGHTED_ODD, "2,10", 260),
     ]
-    for threads in THREADS:
+    for pass_name in passes():
         payload = []
         for theorem, spec, size in instances:
             t1 = time.time()
-            r = verify_characterization(theorem, parse_group(spec), threads=threads)
+            r = verify_characterization(theorem, parse_group(spec))
             assert r.agree, (theorem.value, spec, r.only_in_census, r.only_in_predicate)
             assert r.census_size == size, (theorem.value, spec, r.census_size)
             assert time.time() - t1 < 900
             print(f"{theorem.value} {spec}: census {r.census_size}")
             payload.append(r.to_dict())
-        record("c8", threads, payload)
+        record("c8", pass_name, payload)
     finish(8, t0, 4000)
 
 
 def test_criterion_09_example_families():
     t0 = time.time()
     g = parse_group("2,8")
-    for threads in THREADS:
+    for pass_name in passes():
         payload = []
         for alpha in range(8):
             doubles = Sequence.from_elements(
@@ -238,7 +253,7 @@ def test_criterion_09_example_families():
                                 "sequence": s.literal(),
                                 "classic_zero_len_8": not no_classic,
                                 "pm_zero_len_8": pm_zero})
-        record("c9", threads, payload)
+        record("c9", pass_name, payload)
     finish(9, t0, 60)
 
 
@@ -293,7 +308,7 @@ def test_criterion_10_property_suites():
 def test_criterion_11_determinism():
     t0 = time.time()
     assert set(_reports) == {f"c{i}" for i in range(1, 10)}
-    for key, by_threads in sorted(_reports.items()):
-        assert set(by_threads) == set(THREADS), key
-        assert by_threads[1] == by_threads[8], f"{key} differs between thread counts"
+    for key, by_pass in sorted(_reports.items()):
+        assert set(by_pass) == set(PASSES), key
+        assert by_pass["cold"] == by_pass["warm"], f"{key} differs between cold and warm caches"
     finish(11, t0, 60)

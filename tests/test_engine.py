@@ -1,6 +1,5 @@
 """Search engine checks: known small values, witness contracts, determinism."""
 
-import json
 import os
 import subprocess
 import sys
@@ -10,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import zerosum
+from zerosum import engine
 from zerosum.engine import (
     ConstantKind,
     SearchBudgetExceeded,
@@ -22,7 +22,6 @@ from zerosum.engine import (
     exists_failing_sequence,
     failing_census,
     harborth,
-    max_failing_length,
 )
 from zerosum.groups import parse_group
 from zerosum.sequences import (
@@ -323,41 +322,71 @@ def test_witness_check_survives_python_O():
     assert "caught: internal check failed" in proc.stdout
 
 
-# -- determinism, orbit pruning, budget ---------------------------------------------
-
-
-def test_reports_identical_across_thread_counts():
-    g = parse_group("2,6")
-    w = pm(6)
-    a = harborth(g, w, threads=1)
-    b = harborth(g, w, threads=8)
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
-    assert a.nodes_visited == b.nodes_visited
-    ca = failing_census(ConstantKind.HARBORTH, g, w, threads=1)[1]
-    cb = failing_census(ConstantKind.HARBORTH, g, w, threads=8)[1]
-    assert ca == cb
-
-
-def test_orbit_pruning_agrees_and_saves_nodes():
-    cases = [("2,6", "pm"), ("8", "pm"), ("2,2,2", "classic")]
-    for spec, wspec in cases:
-        g = parse_group(spec)
-        w = WeightSet.parse(wspec, g.exponent)
-        plain = harborth(g, w)
-        pruned = harborth(g, w, orbit_pruning=True)
-        assert pruned.value == plain.value
-        assert pruned.witness == plain.witness
-        assert pruned.nodes_visited <= plain.nodes_visited
-    c_plain = critical_number(parse_group("2,2,2"))
-    c_orb = critical_number(parse_group("2,2,2"), orbit_pruning=True)
-    assert c_orb.value == c_plain.value and c_orb.witness == c_plain.witness
+# -- node budget ---------------------------------------------------------------------
 
 
 def test_budget_exceeded():
     with pytest.raises(SearchBudgetExceeded) as exc:
         harborth(parse_group("2,10"), pm(10), node_budget=500)
-    assert exc.value.nodes > 500
+    assert exc.value.nodes == 501
     assert exc.value.budget == 500
+
+
+@pytest.mark.parametrize("budget, raised", [(500, 501), (100_000, 100_001),
+                                            (165_779, 165_780), (165_780, None)])
+def test_budget_is_global_across_roots(budget, raised):
+    # harborth 2,10 pm needs 165,780 nodes in all, spread over 20 roots
+    g, w = parse_group("2,10"), pm(10)
+    if raised is None:
+        assert harborth(g, w, node_budget=budget).nodes_visited == budget
+        return
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        harborth(g, w, node_budget=budget)
+    assert exc.value.nodes == raised
+
+
+@pytest.mark.parametrize("kind, spec, wspec", [
+    (ConstantKind.HARBORTH, "2,6", "pm"),
+    (ConstantKind.EGZ, "2,4", "pm"),
+    (ConstantKind.ETA, "2,4", "classic"),
+    (ConstantKind.ETA, "2,2,2,2", "classic"),  # two value rounds
+    (ConstantKind.DAVENPORT, "2,4", "pm"),
+    (ConstantKind.CRITICAL, "2,2,2", None),
+])
+def test_budget_counts_every_round_and_the_census_scan(kind, spec, wspec, monkeypatch):
+    g = parse_group(spec)
+    w = WeightSet.parse(wspec, g.exponent) if wspec else None
+    ends = []  # the running node total after each walk: value rounds, then the census scan
+    walk = engine._walk
+
+    def recording(*args, **kwargs):
+        out = walk(*args, **kwargs)
+        ends.append(out[3])
+        return out
+
+    monkeypatch.setattr(engine, "_walk", recording)
+    report, census = failing_census(kind, g, w)
+    monkeypatch.undo()
+    assert len(ends) >= 2 and ends[-1] == report.nodes_visited
+    # the last node of each walk, the first node of the next, the very last node
+    budgets = [b for end in ends[:-1] for b in (end - 1, end)] + [ends[-1] - 1]
+    for budget in budgets:
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            failing_census(kind, g, w, node_budget=budget)
+        assert exc.value.nodes == budget + 1
+    again, again_census = failing_census(kind, g, w, node_budget=ends[-1])
+    assert again.to_dict() == report.to_dict() and again_census == census
+
+
+def test_budget_bounds_exists_failing_sequence():
+    # no length-7 sequence on 2,4 avoids pm zero-sums of length 4: the probe
+    # walks all 8 roots, 1,607 nodes in all and at most 635 in one root
+    g = parse_group("2,4")
+    for budget in (10, 1_000, 1_606):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            exists_failing_sequence(g, pm(4), 7, [4], node_budget=budget)
+        assert exc.value.nodes == budget + 1
+    assert exists_failing_sequence(g, pm(4), 7, [4], node_budget=1_607) is False
 
 
 # -- auxiliary entry points -----------------------------------------------------------
@@ -371,13 +400,6 @@ def test_exists_failing_sequence_probe():
     assert not exists_failing_sequence(g, w, 3, range(1, 4))
     # squarefree mode: lengths beyond the group order are impossible
     assert not exists_failing_sequence(g, w, 5, [4], mode="squarefree")
-
-
-def test_max_failing_length_wrapper():
-    g = parse_group("2,4")
-    res = max_failing_length(g, pm(4), ConstantKind.HARBORTH)
-    assert res.length == 4
-    assert res.witness.length == 4
 
 
 def test_compute_constant_dispatch():
@@ -398,8 +420,6 @@ def test_input_validation():
         compute_constant(ConstantKind.CRITICAL, g, pm(4))  # no weights allowed
     with pytest.raises(ValueError):
         compute_constant(ConstantKind.DAVENPORT, g, None)  # weights required
-    with pytest.raises(SearchInputError):
-        harborth(g, pm(4), threads=0)
     with pytest.raises(SearchInputError):
         harborth(g, pm(4), node_budget=-1)
 
