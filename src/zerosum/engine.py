@@ -7,21 +7,22 @@ maximal search settles the value.
 
 One walker does all the searching.  It builds sequences as chains from the
 largest element index downward, which visits each fixed length in colex
-order.  A node carries the per-length weighted subsum table of its partial
-sequence (the kernel in ``zerosum.sequences``); a node whose table already
-contains zero in a forbidden row is dead, and so is every extension, which
-is what keeps the walk far below the raw binomial counts.  A value round
-records each chain longer than the best so far, so its first chain of the
-maximal length is the colex-least witness.  The same walk with the length
-fixed lists every failing sequence of that length for a census.
+order.  A node carries the state of its partial sequence: the per-length
+weighted subsum table (the kernel in ``zerosum.sequences``), or for davenport
+and the critical number the mask of nonempty weighted subsums.  A node whose
+state shows a forbidden zero-sum, or sums covering G, is dead, and so is
+every extension, which is what keeps the walk far below the raw binomial
+counts.  A value search records each chain longer than the best so far, so
+its first chain of the maximal length is the colex-least witness.  The same
+walk with the length fixed lists every failing sequence of that length for a
+census.
 
-Determinism contract: the search is sequential and the set of nodes visited
-depends only on the search inputs.  Roots (topmost elements) are walked one
-after another in element order, each from the same starting bound, so no
-root prunes with what an earlier root found.  One node budget covers the
-whole computation, every value round and the exact scan, and the walk stops
-at the first node past it.  Reported node counts, witnesses and budget aborts
-are therefore byte-stable across runs.
+Determinism contract: every search is one sequential walk whose nodes
+depend only on the search inputs.  Roots (topmost elements) go in element
+order, and one bound, the best length so far, carries from root to root.
+One node budget covers the value walk and the exact scan, and the walk stops
+at the first node past it, so node counts, witnesses and budget aborts are
+byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from zerosum.sequences import (
     oracle_has_weighted_zero_up_to,
     oracle_nonempty_subsums,
     subsum_kernel,
+    weight_multiples,
 )
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -76,16 +78,6 @@ class ConstantKind(str, Enum):
     EGZ = "egz"
     HARBORTH = "harborth"
     CRITICAL = "critical"
-
-
-# kind -> (default mode, needs weights)
-_KIND_MODE = {
-    ConstantKind.DAVENPORT: "multiset",
-    ConstantKind.ETA: "multiset",
-    ConstantKind.EGZ: "multiset",
-    ConstantKind.HARBORTH: "squarefree",
-    ConstantKind.CRITICAL: "squarefree",
-}
 
 
 @dataclass(frozen=True)
@@ -132,14 +124,19 @@ def _node_budget(node_budget: int | None) -> int:
 # -- node state ----------------------------------------------------------------
 
 
-def _coverage_engine(group: GroupSpec):
-    """Nonempty subsum state for the critical number; dead when sums cover G."""
-    full = group.full_mask
+def _nonempty_engine(group: GroupSpec, weights: WeightSet, dead_mask: int):
+    """The mask of nonempty weighted subsums as ``(0, push)``; a node is dead
+    once its mask holds all of ``dead_mask``: bit 0 for a weighted zero-sum
+    (davenport), the full mask for sums covering G (critical)."""
     translate = group.translate_bits
+    scaled = weight_multiples(group, weights)
 
     def push(ne: int, g: int, new_size: int):
-        new = ne | translate(ne, g) | (1 << g)
-        return new, new == full
+        new = ne
+        with_empty = ne | 1  # translating the empty sum too adds each w*g itself
+        for wg in scaled[g]:
+            new |= translate(with_empty, wg)
+        return new, new & dead_mask == dead_mask
 
     return 0, push
 
@@ -154,29 +151,28 @@ def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
     A chain is a run of positions into ``universe``, strictly decreasing when
     ``squarefree`` and nonincreasing otherwise, so chains come out in colex
     order.  The walk records the first chain longer than ``best`` each time
-    it finds one; squarefree chains that cannot get longer than ``best`` are
-    pruned.  A chain of length ``cap`` is a hit: it is kept and not extended,
-    and unless ``collect`` is set the walk moves on to the next root.  Every
-    root starts from the ``best`` passed in.
+    it finds one, and ``best`` carries over from one root to the next;
+    squarefree chains that cannot get longer than ``best`` are pruned.  A
+    chain of length ``cap`` is a hit: it is kept and not extended, and unless
+    ``collect`` is set the first hit ends the walk.
 
-    Value rounds start at ``best = 0``; an exact scan for length L fixes
-    ``best = L - 1`` and ``cap = L``, which prunes every chain that cannot
-    reach L.
+    A value search starts at ``best = 0`` with a cap no failing chain can
+    reach; an exact scan for length L fixes ``best = L - 1`` and ``cap = L``,
+    which prunes every chain that cannot reach L.
 
     ``nodes`` is the count used before this walk; the walk raises
     ``SearchBudgetExceeded`` at the first node that takes it past ``budget``.
 
-    Returns ``(length, witness, hits, nodes)``: the longest chain over all
-    roots with its length (the first found, so colex-least), the hits in
-    colex order, and the node count including this walk.
+    Returns ``(length, witness, hits, nodes)``: the longest chain found with
+    its length (the first, so colex-least; ``None`` if none beat ``best``),
+    the hits in colex order, and the node count including this walk.
     """
     hits: list[tuple[int, ...]] = []
     chain: list[int] = []
-    start = best
     best_chain = None
 
     def grow(state, size: int, children) -> bool:
-        """Try each child position after the live chain; True ends the root."""
+        """Try each child position after the live chain; True ends the walk."""
         nonlocal nodes, best, best_chain
         n = size + 1
         for c in children:
@@ -202,14 +198,8 @@ def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
             chain.pop()
         return False
 
-    length, witness = start, None
-    for root in range(len(universe)):
-        best, best_chain = start, None
-        grow(init_state, 0, (root,))
-        chain.clear()
-        if best > length:
-            length, witness = best, best_chain
-    return length, witness, hits, nodes
+    grow(init_state, 0, range(len(universe)))
+    return best, best_chain, hits, nodes
 
 
 # -- search driver -----------------------------------------------------------------
@@ -223,68 +213,45 @@ class MaxFailingResult:
     census: tuple[Sequence, ...] | None = None
 
 
-def _initial_ltop(group: GroupSpec) -> int:
-    return group.exponent + group.order.bit_length() + 3
-
-
 def _search_max_failing(
     group: GroupSpec,
     weights: WeightSet | None,
     kind: ConstantKind,
-    mode: str,
     *,
     node_budget: int,
     want_census: bool,
 ) -> MaxFailingResult:
-    """Value rounds until no chain reaches the length cap, then an exact scan
-    when a census is wanted.  ``node_budget`` covers every round and the scan."""
-    squarefree = mode == "squarefree"
+    """One value walk, then an exact scan when a census is wanted.
+    ``node_budget`` covers both."""
+    squarefree = kind in (ConstantKind.HARBORTH, ConstantKind.CRITICAL)
     exp = group.exponent
+    universe = tuple(range(1 if kind is ConstantKind.CRITICAL else 0, group.order))
     if kind is ConstantKind.CRITICAL:
-        universe = tuple(range(1, group.order))
+        init_state, push = _nonempty_engine(group, WeightSet.classic(exp), group.full_mask)
+    elif kind is ConstantKind.DAVENPORT:
+        init_state, push = _nonempty_engine(group, weights, 1)
     else:
-        universe = tuple(range(group.order))
+        zl = tuple(range(1, exp + 1)) if kind is ConstantKind.ETA else (exp,)
+        init_state, push = subsum_kernel(group, weights, exp, zl)
 
-    # squarefree chains cannot outgrow the universe, so their cap is never hit
-    ltop = len(universe) + 1 if squarefree else _initial_ltop(group)
-    safety = 4 * group.order + exp + 8
-
-    def build_engine(cur_ltop: int):
-        if kind is ConstantKind.CRITICAL:
-            return _coverage_engine(group)
-        if kind in (ConstantKind.HARBORTH, ConstantKind.EGZ):
-            zl = (exp,)
-        elif kind is ConstantKind.ETA:
-            zl = tuple(range(1, exp + 1))
-        else:  # davenport
-            zl = tuple(range(1, cur_ltop + 1))
-        return subsum_kernel(group, weights, zl[-1], zl)
-
-    nodes = 0
-    while True:
-        init_state, push = build_engine(ltop)
-        length, chain, hits, nodes = _walk(universe, init_state, push, best=0, cap=ltop,
-                                           squarefree=squarefree, collect=False,
-                                           nodes=nodes, budget=node_budget)
-        if not hits:
-            break
-        ltop *= 2
-        if ltop > safety:
-            raise RuntimeError(f"failing lengths for {kind.value} on {group} keep growing past {safety}")
+    # above every failing length: D(G) <= |G|, s(G) <= |G| + exp - 1, and a
+    # squarefree chain has at most |G| terms; a hit can only mean a bug
+    cap = 4 * group.order + exp + 8
+    length, chain, hits, nodes = _walk(universe, init_state, push, best=0, cap=cap,
+                                       squarefree=squarefree, collect=False,
+                                       nodes=0, budget=node_budget)
+    _check(not hits, f"failing lengths for {kind.value} on {group} stay below {cap}")
 
     census: tuple[Sequence, ...] | None = None
-    if length == 0:
-        chain = ()
-        if want_census:
-            census = (Sequence.empty(group),)
+    if want_census and length == 0:
+        census = (Sequence.empty(group),)
     elif want_census:
         _, _, hits, nodes = _walk(universe, init_state, push, best=length - 1, cap=length,
                                   squarefree=squarefree, collect=True,
                                   nodes=nodes, budget=node_budget)
-        _check(bool(hits), "a witness exists at the established failing length")
-        chain = hits[0]
+        _check(bool(hits) and hits[0] == chain, "the census at the failing length starts with the witness")
         census = tuple(Sequence.from_indices(group, [universe[p] for p in hit]) for hit in hits)
-    witness = Sequence.from_indices(group, [universe[p] for p in chain])
+    witness = Sequence.from_indices(group, [universe[p] for p in chain or ()])
     return MaxFailingResult(length=length, witness=witness, nodes_visited=nodes, census=census)
 
 
@@ -315,7 +282,6 @@ def _compute(
     group: GroupSpec,
     weights: WeightSet | None,
     *,
-    mode: str | None = None,
     node_budget: int | None = None,
     want_census: bool = False,
 ):
@@ -332,13 +298,8 @@ def _compute(
             raise SearchInputError(
                 f"weight modulus {weights.modulus} does not match exponent {group.exponent} of {group}"
             )
-    mode = mode or _KIND_MODE[kind]
-    if mode not in ("squarefree", "multiset"):
-        raise SearchInputError(f"unknown search mode {mode!r}")
-    if kind in (ConstantKind.HARBORTH, ConstantKind.CRITICAL) and mode != "squarefree":
-        raise SearchInputError(f"{kind.value} is defined over squarefree sequences")
     node_budget = _node_budget(node_budget)
-    result = _search_max_failing(group, weights, kind, mode, node_budget=node_budget,
+    result = _search_max_failing(group, weights, kind, node_budget=node_budget,
                                  want_census=want_census)
     value = result.length + 1
     _validate_witness(kind, group, weights, result.witness)
@@ -413,7 +374,8 @@ def exists_failing_sequence(
     node_budget: int | None = None,
 ) -> bool:
     """Whether some length-``length`` sequence avoids weighted zero-sums at
-    every length in ``zero_lengths``.  Exhaustive up to dead-branch pruning."""
+    every length in ``zero_lengths``.  Exhaustive up to dead-branch pruning;
+    the walk stops at the first such sequence."""
     zl = tuple(sorted(set(int(j) for j in zero_lengths)))
     if not zl or zl[0] < 1:
         raise SearchInputError("zero_lengths must be positive")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
-DEFAULT_ORDER_CEILING = 64
+ORDER_CEILING = 64
 
 
 class GroupMismatchError(ValueError):
@@ -24,7 +24,7 @@ class GroupMismatchError(ValueError):
 
 
 class GroupCeilingError(ValueError):
-    """Requested group order exceeds the configured ceiling."""
+    """Requested group order exceeds ``ORDER_CEILING``."""
 
 
 def _replicate(pattern: int, span: int, total: int) -> int:
@@ -39,12 +39,12 @@ class GroupSpec:
     """A finite abelian group C_{n1} + ... + C_{nr} in invariant factor form.
 
     The factor chain must satisfy n1 | n2 | ... | nr with n1 > 1, and the
-    order is capped by ``ceiling`` so every subset fits one machine word.
+    order is capped by ``ORDER_CEILING`` so every subset fits one machine word.
     Instances are immutable after construction and safe to share across
     threads; equality and hashing go by the factor tuple.
     """
 
-    def __init__(self, invariant_factors: Iterable[int], ceiling: int = DEFAULT_ORDER_CEILING):
+    def __init__(self, invariant_factors: Iterable[int]):
         factors = tuple(int(n) for n in invariant_factors)
         if not factors:
             raise ValueError("at least one invariant factor is required")
@@ -54,8 +54,8 @@ class GroupSpec:
             if b % a:
                 raise ValueError(f"invariant factor chain broken: {a} does not divide {b}")
         order = math.prod(factors)
-        if order > ceiling:
-            raise GroupCeilingError(f"group order {order} exceeds ceiling {ceiling}")
+        if order > ORDER_CEILING:
+            raise GroupCeilingError(f"group order {order} exceeds ceiling {ORDER_CEILING}")
         self.invariant_factors = factors
         self.rank = len(factors)
         self.order = order
@@ -239,7 +239,7 @@ class GroupSpec:
         return None
 
 
-def parse_group(text: str, ceiling: int = DEFAULT_ORDER_CEILING) -> GroupSpec:
+def parse_group(text: str) -> GroupSpec:
     """Parse a comma-separated invariant factor chain such as ``2,12``."""
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):
@@ -248,7 +248,7 @@ def parse_group(text: str, ceiling: int = DEFAULT_ORDER_CEILING) -> GroupSpec:
         factors = [int(p) for p in parts]
     except ValueError:
         raise ValueError(f"malformed group spec {text!r}: factors must be integers") from None
-    return GroupSpec(factors, ceiling=ceiling)
+    return GroupSpec(factors)
 
 
 @dataclass(frozen=True)

@@ -259,20 +259,19 @@ def nonempty_subsums(seq: Sequence) -> SumSet:
 
 
 @lru_cache(maxsize=64)
-def _weight_ops(group: GroupSpec, weights: WeightSet):
-    """Per element g: the translation op lists for each distinct w*g."""
+def weight_multiples(group: GroupSpec, weights: WeightSet) -> tuple[tuple[int, ...], ...]:
+    """Per element g: each distinct w*g for w in the weight set, once."""
     if weights.modulus != group.exponent:
         raise ValueError(f"weight modulus {weights.modulus} does not match exponent {group.exponent}")
+    return tuple(tuple(dict.fromkeys(group.scale_index(w, g) for w in weights.classes))
+                 for g in range(group.order))
+
+
+@lru_cache(maxsize=64)
+def _weight_ops(group: GroupSpec, weights: WeightSet):
+    """Per element g: the translation op lists for each distinct w*g."""
     trans = group._translation_ops
-    table = []
-    for g in range(group.order):
-        seen = []
-        for w in weights.classes:
-            wg = group.scale_index(w, g)
-            if wg not in seen:
-                seen.append(wg)
-        table.append(tuple(trans[wg] for wg in seen))
-    return tuple(table)
+    return tuple(tuple(trans[wg] for wg in row) for row in weight_multiples(group, weights))
 
 
 def subsum_kernel(group: GroupSpec, weights: WeightSet, cap: int, zero_lengths: tuple[int, ...] = ()):

@@ -1,6 +1,9 @@
 """CLI behavior: outputs, exit codes, reproducibility."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -291,3 +294,30 @@ def test_table_cyclic_range_floor(capsys):
                        "--kind", "harborth", "--weights", "classic")
     assert code == 64
     assert "--range" in err
+
+
+# -- README examples ---------------------------------------------------------------
+
+
+def _readme_examples():
+    """Each fenced block of README.md that starts with ``$ zerosum``, as
+    ``(argv, head, expected)``; ``head`` is N for a trailing ``| head -N``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    out = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+        first, _, expected = block.partition("\n")
+        if not first.startswith("$ zerosum "):
+            continue
+        command, _, pipe = first[2:].partition("|")
+        head = int(re.fullmatch(r"\s*head -(\d+)\s*", pipe).group(1)) if pipe else None
+        out.append(pytest.param(shlex.split(command)[1:], head, expected, id=first[2:]))
+    return out
+
+
+@pytest.mark.parametrize("argv, head, expected", _readme_examples())
+def test_readme_example_output(capsys, argv, head, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if head is not None:
+        out = "".join(out.splitlines(keepends=True)[:head])
+    assert out == expected

@@ -1,6 +1,7 @@
 """Search engine checks: known small values, witness contracts, determinism."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -32,6 +33,7 @@ from zerosum.sequences import (
     oracle_has_weighted_zero_of_length,
     oracle_has_weighted_zero_up_to,
     oracle_nonempty_subsums,
+    weighted_length_sums_oracle,
 )
 
 
@@ -234,6 +236,31 @@ def test_critical_matches_bruteforce():
     assert r.witness == witness
 
 
+@pytest.mark.parametrize("spec", ["6", "2,4", "8", "2,2,2"])
+def test_nonempty_engine_matches_oracles(spec):
+    g = parse_group(spec)
+    e = g.exponent
+    weight_sets = [pm(e), classic(e), WeightSet.of(e, [1, 2]), WeightSet.of(e, [2]), WeightSet.of(e, [0, 1])]
+    rng = random.Random(f"nonempty {spec}")
+    for w in weight_sets:
+        init, davenport_push = engine._nonempty_engine(g, w, 1)
+        _, critical_push = engine._nonempty_engine(g, w, g.full_mask)
+        for _ in range(40):
+            idxs = [rng.randrange(g.order) for _ in range(rng.randint(1, 5))]
+            state = init
+            for n, i in enumerate(idxs, 1):
+                new, zero = davenport_push(state, i, n)
+                covered = critical_push(state, i, n)[1]
+                state = new
+            seq = Sequence.from_indices(g, idxs)
+            sums = set().union(*(weighted_length_sums_oracle(seq, w)[k] for k in range(1, len(idxs) + 1)))
+            assert state == sum(1 << x for x in sums), (spec, w, idxs)
+            assert zero == oracle_has_weighted_zero_up_to(seq, w, len(idxs)), (spec, w, idxs)
+            assert covered == (len(sums) == g.order), (spec, w, idxs)
+            if w == classic(e):
+                assert sums == oracle_nonempty_subsums(seq), (spec, idxs)
+
+
 # -- witness contracts -------------------------------------------------------------
 
 
@@ -322,6 +349,24 @@ def test_witness_check_survives_python_O():
     assert "caught: internal check failed" in proc.stdout
 
 
+def test_cap_overrun_is_an_internal_error(monkeypatch):
+    # a push that is never dead lets chains grow past every failing length
+    def never_dead(group, weights, cap, zero_lengths):
+        return 0, lambda state, g, new_size: (state, False)
+
+    monkeypatch.setattr(engine, "subsum_kernel", never_dead)
+    with pytest.raises(engine.InternalCheckError, match="stay below"):
+        egz(parse_group("2"), classic(2))
+
+
+def test_value_search_is_one_walk():
+    # one walk with one cap: no shorter-capped round is walked and thrown away
+    r = eta(parse_group("2,2,2,2"), classic(2))
+    assert r.value == 16
+    assert r.nodes_visited == 98_302
+    assert r.witness == Sequence.full_squarefree(parse_group("2,2,2,2")).remove_index(0)
+
+
 # -- node budget ---------------------------------------------------------------------
 
 
@@ -333,9 +378,9 @@ def test_budget_exceeded():
 
 
 @pytest.mark.parametrize("budget, raised", [(500, 501), (100_000, 100_001),
-                                            (165_779, 165_780), (165_780, None)])
+                                            (157_712, 157_713), (157_713, None)])
 def test_budget_is_global_across_roots(budget, raised):
-    # harborth 2,10 pm needs 165,780 nodes in all, spread over 20 roots
+    # harborth 2,10 pm needs 157,713 nodes in all, spread over 20 roots
     g, w = parse_group("2,10"), pm(10)
     if raised is None:
         assert harborth(g, w, node_budget=budget).nodes_visited == budget
@@ -349,14 +394,14 @@ def test_budget_is_global_across_roots(budget, raised):
     (ConstantKind.HARBORTH, "2,6", "pm"),
     (ConstantKind.EGZ, "2,4", "pm"),
     (ConstantKind.ETA, "2,4", "classic"),
-    (ConstantKind.ETA, "2,2,2,2", "classic"),  # two value rounds
+    (ConstantKind.ETA, "2,2,2,2", "classic"),
     (ConstantKind.DAVENPORT, "2,4", "pm"),
     (ConstantKind.CRITICAL, "2,2,2", None),
 ])
-def test_budget_counts_every_round_and_the_census_scan(kind, spec, wspec, monkeypatch):
+def test_budget_counts_the_value_walk_and_the_census_scan(kind, spec, wspec, monkeypatch):
     g = parse_group(spec)
     w = WeightSet.parse(wspec, g.exponent) if wspec else None
-    ends = []  # the running node total after each walk: value rounds, then the census scan
+    ends = []  # the running node total after each walk: the value walk, then the census scan
     walk = engine._walk
 
     def recording(*args, **kwargs):
@@ -367,9 +412,9 @@ def test_budget_counts_every_round_and_the_census_scan(kind, spec, wspec, monkey
     monkeypatch.setattr(engine, "_walk", recording)
     report, census = failing_census(kind, g, w)
     monkeypatch.undo()
-    assert len(ends) >= 2 and ends[-1] == report.nodes_visited
-    # the last node of each walk, the first node of the next, the very last node
-    budgets = [b for end in ends[:-1] for b in (end - 1, end)] + [ends[-1] - 1]
+    assert len(ends) == 2 and ends[-1] == report.nodes_visited
+    # the last node of the value walk, the first node of the scan, the very last node
+    budgets = [ends[0] - 1, ends[0], ends[1] - 1]
     for budget in budgets:
         with pytest.raises(SearchBudgetExceeded) as exc:
             failing_census(kind, g, w, node_budget=budget)
@@ -387,6 +432,16 @@ def test_budget_bounds_exists_failing_sequence():
             exists_failing_sequence(g, pm(4), 7, [4], node_budget=budget)
         assert exc.value.nodes == budget + 1
     assert exists_failing_sequence(g, pm(4), 7, [4], node_budget=1_607) is False
+
+
+def test_exists_failing_sequence_stops_at_the_first_hit():
+    # a length-6 sequence on 2,4 avoiding pm zero-sums of length 4 turns up
+    # at node 145, and the walk ends there instead of trying the other roots
+    g = parse_group("2,4")
+    assert exists_failing_sequence(g, pm(4), 6, [4], node_budget=145) is True
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        exists_failing_sequence(g, pm(4), 6, [4], node_budget=144)
+    assert exc.value.nodes == 145
 
 
 # -- auxiliary entry points -----------------------------------------------------------
@@ -412,8 +467,6 @@ def test_input_validation():
     g = parse_group("2,4")
     with pytest.raises(ValueError):
         harborth(g, WeightSet.plus_minus(3))  # modulus mismatch
-    with pytest.raises(ValueError):
-        harborth(g, pm(4), mode="multiset")  # squarefree by definition
     with pytest.raises(ValueError):
         critical_number(parse_group("2"))  # needs at least 3 elements
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from zerosum.groups import (
+    ORDER_CEILING,
     Basis2x2n,
     GroupCeilingError,
     GroupMismatchError,
@@ -44,7 +45,7 @@ def test_parse_group_rejects_bad_chains():
 def test_order_ceiling():
     with pytest.raises(GroupCeilingError):
         GroupSpec([2, 64])
-    GroupSpec([2, 64], ceiling=128)
+    assert GroupSpec([2, 32]).order == ORDER_CEILING == 64
 
 
 def test_index_coords_round_trip():
