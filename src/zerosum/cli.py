@@ -24,7 +24,7 @@ import sys
 
 from .engine import ConstantKind, SearchBudgetExceeded, SearchInputError, compute_constant
 from .formulas import FormulaValue, formula_for
-from .groups import GroupSpec, parse_group
+from .groups import GroupCeilingError, GroupSpec, parse_group
 from .inverse import HypothesisError, TheoremId, enumerate_extremal, verify_characterization
 from .sequences import WeightSet
 
@@ -244,11 +244,12 @@ def cmd_verify(args) -> int:
 
 
 def _family_groups(family: str, lo: int, hi: int) -> list[GroupSpec]:
-    if family == "2,2n":
-        return [parse_group(f"2,{2 * n}") for n in range(lo, hi + 1)]
-    if lo < 2:
+    if family == "n" and lo < 2:
         raise UsageError("--range: cyclic family starts at n = 2")
-    return [parse_group(str(n)) for n in range(lo, hi + 1)]
+    try:
+        return [parse_group(f"2,{2 * n}" if family == "2,2n" else str(n)) for n in range(lo, hi + 1)]
+    except GroupCeilingError as exc:
+        raise UsageError(f"--range: {exc}") from exc
 
 
 def cmd_table(args) -> int:

@@ -379,6 +379,10 @@ def exists_failing_sequence(
     zl = tuple(sorted(set(int(j) for j in zero_lengths)))
     if not zl or zl[0] < 1:
         raise SearchInputError("zero_lengths must be positive")
+    if length < 0:
+        raise SearchInputError(f"length must be nonnegative, got {length}")
+    if mode not in ("squarefree", "multiset"):
+        raise SearchInputError(f"unknown mode {mode!r}; expected 'squarefree' or 'multiset'")
     node_budget = _node_budget(node_budget)
     if length == 0:
         return True

@@ -382,17 +382,6 @@ def _member_index(group: GroupSpec, member) -> int:
     return idx
 
 
-def sumset(a: SumSet, b: SumSet) -> SumSet:
-    """The pointwise sum {x + y : x in a, y in b}, computed honestly."""
-    a._require_same_group(b)
-    group = a.group
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    bits = 0
-    for i in small.indices():
-        bits |= group.translate_bits(big.bits, i)
-    return SumSet(group, bits)
-
-
 def doubling_subgroup(group: GroupSpec) -> SumSet:
     """The subgroup 2G = {2x : x in G}."""
     return SumSet.full(group).dilate(2)
@@ -428,9 +417,6 @@ class Basis2x2n:
 
     def coords_of(self, g) -> tuple[int, int]:
         return self.coords[_member_index(self.group, g)]
-
-    def combine(self, a1: int, a2: int) -> GroupElement:
-        return a1 * self.e1 + a2 * self.e2
 
 
 def enumerate_bases_2x2n(group: GroupSpec) -> list[Basis2x2n]:

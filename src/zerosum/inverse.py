@@ -6,8 +6,9 @@ complete census of maximal failing squarefree sequences and checks it against
 structural descriptions of them: shape predicates that claim to characterize
 the census for particular group families and weight sets.  A verification
 run builds both sides independently, search on one side and the predicate
-filter over all candidate sequences on the other, and reports the symmetric
-difference.
+filter over every candidate index tuple on the other, and reports the
+symmetric difference.  Each theorem's group scope is written once, in
+``_SCOPES``; the hypothesis check and the predicates both read it.
 """
 
 from __future__ import annotations
@@ -96,22 +97,32 @@ def enumerate_extremal(group: GroupSpec, weights: WeightSet, **opts) -> Extremal
 # -- shape predicates --------------------------------------------------------------
 #
 # Each predicate answers: does this squarefree sequence have the shape the
-# characterization ascribes to maximal failing sequences?  They take any
-# sequence over an in-scope group and may return False for right-length
-# sequences that fail the shape, so a census comparison is meaningful.
+# characterization ascribes to maximal failing sequences?  They take the
+# group and the sequence as a tuple of element indices, so a candidate never
+# becomes a ``Sequence``.  A tuple of the wrong length or with a repeated
+# index is not of the shape; a group outside the theorem's scope raises
+# ``HypothesisError``.  They may return False for right-length tuples that
+# fail the shape, so a census comparison is meaningful.
+
+_SCOPES = {
+    TheoremId.C2C4_PM: ("C2 x C4", lambda n: n == 2),
+    TheoremId.PM_GENERAL: ("C2 x C2n with n >= 3", lambda n: n >= 3),
+    TheoremId.UNWEIGHTED_EVEN: ("C2 x C2n with even n >= 4", lambda n: n >= 4 and n % 2 == 0),
+    TheoremId.UNWEIGHTED_ODD: ("C2 x C2n with odd n >= 3", lambda n: n >= 3 and n % 2 == 1),
+}
 
 
-def _require_shape(seq: Sequence, n_parity: str | None, n_min: int) -> int:
-    n = seq.group.shape_2x2n()
-    if n is None:
-        raise HypothesisError(f"group {seq.group.describe()} is not of shape C2 x C2n")
-    if n < n_min:
-        raise HypothesisError(f"needs n >= {n_min}, got n = {n}")
-    if n_parity == "even" and n % 2 == 1:
-        raise HypothesisError(f"needs even n, got n = {n}")
-    if n_parity == "odd" and n % 2 == 0:
-        raise HypothesisError(f"needs odd n, got n = {n}")
+def _scope_n(theorem: TheoremId, group: GroupSpec) -> int:
+    """The n of C2 x C2n when the group lies in the theorem's scope."""
+    what, holds = _SCOPES[theorem]
+    n = group.shape_2x2n()
+    if n is None or not holds(n):
+        raise HypothesisError(f"{theorem.value} needs {what}, got {group.describe()}")
     return n
+
+
+def _is_squarefree_of_length(idxs: tuple[int, ...], length: int) -> bool:
+    return len(idxs) == length and len(set(idxs)) == length
 
 
 def _basis_split(basis, idxs: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -124,16 +135,13 @@ def _basis_split(basis, idxs: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return parts
 
 
-def predicate_c2c4_pm(seq: Sequence) -> bool:
+def predicate_c2c4_pm(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     """Extremal shape over C2 x C4 with both signs allowed: for some basis the
     halves split 1 + 3, or split 2 + 2 sharing one element with the two leftover
     elements summing to an odd multiple of e2."""
-    group = seq.group
-    if group.invariant_factors != (2, 4):
-        raise HypothesisError(f"characterization is specific to C2 x C4, not {group.describe()}")
-    if not seq.is_squarefree or seq.length != 4:
+    _scope_n(TheoremId.C2C4_PM, group)
+    if not _is_squarefree_of_length(idxs, 4):
         return False
-    idxs = seq.indices()
     for basis in enumerate_bases_2x2n(group):
         s0, s1 = _basis_split(basis, idxs)
         sizes = sorted((len(s0), len(s1)))
@@ -153,14 +161,6 @@ def predicate_c2c4_pm(seq: Sequence) -> bool:
 def _coset_table(group: GroupSpec) -> tuple[int, ...]:
     """``coset_index_mod_2G`` of every element index."""
     return tuple(coset_index_mod_2G(group, idx) for idx in range(group.order))
-
-
-def _coset_counts_mod_doubles(seq: Sequence) -> list[int]:
-    coset = _coset_table(seq.group)
-    counts = [0, 0, 0, 0]
-    for idx in seq.indices():
-        counts[coset[idx]] += 1
-    return counts
 
 
 def _involution_coset_reps(group: GroupSpec) -> list[int]:
@@ -210,25 +210,27 @@ def _odd_layout(group: GroupSpec):
     return tuple(map(tuple, halves)), tuple(split), tuple(pair_masks)
 
 
-def predicate_pm_general(seq: Sequence) -> bool:
+def predicate_pm_general(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     """Extremal shape over C2 x C2n (n >= 3) with both signs: the support
     occupies exactly three of the four classes modulo doubled elements, an odd
     number of terms in each.  Basis-free."""
-    n = _require_shape(seq, None, 3)
-    if not seq.is_squarefree or seq.length != 2 * n + 1:
+    n = _scope_n(TheoremId.PM_GENERAL, group)
+    if not _is_squarefree_of_length(idxs, 2 * n + 1):
         return False
-    counts = _coset_counts_mod_doubles(seq)
-    return sum(1 for c in counts if c == 0) == 1 and all(c % 2 == 1 for c in counts if c)
+    coset = _coset_table(group)
+    counts = [0, 0, 0, 0]
+    for idx in idxs:
+        counts[coset[idx]] += 1
+    return counts.count(0) == 1 and all(c % 2 == 1 for c in counts if c)
 
 
-def _pm_general_via_basis(seq: Sequence) -> bool:
+def _pm_general_via_basis(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     """Literal reading of the same shape: some basis splits the sequence into
     the four classes with one part empty and the rest of odd size."""
-    n = _require_shape(seq, None, 3)
-    if not seq.is_squarefree or seq.length != 2 * n + 1:
+    n = _scope_n(TheoremId.PM_GENERAL, group)
+    if not _is_squarefree_of_length(idxs, 2 * n + 1):
         return False
-    idxs = seq.indices()
-    for basis in enumerate_bases_2x2n(seq.group):
+    for basis in enumerate_bases_2x2n(group):
         sizes = [0, 0, 0, 0]
         for idx in idxs:
             a1, a2 = basis.coords[idx]
@@ -238,14 +240,13 @@ def _pm_general_via_basis(seq: Sequence) -> bool:
     return False
 
 
-def predicate_unweighted_even(seq: Sequence) -> bool:
+def predicate_unweighted_even(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     """Extremal shape over C2 x C2n (even n >= 4), single positive weight: for
     some basis, the total along e2 avoids the support of the odd-size half."""
-    n = _require_shape(seq, "even", 3)
-    if not seq.is_squarefree or seq.length != 2 * n + 1:
+    n = _scope_n(TheoremId.UNWEIGHTED_EVEN, group)
+    if not _is_squarefree_of_length(idxs, 2 * n + 1):
         return False
-    idxs = seq.indices()
-    for basis in enumerate_bases_2x2n(seq.group):
+    for basis in enumerate_bases_2x2n(group):
         s0, s1 = _basis_split(basis, idxs)
         total = (sum(s0) + sum(s1)) % (2 * n)
         odd_part = s0 if len(s0) % 2 == 1 else s1
@@ -254,17 +255,15 @@ def predicate_unweighted_even(seq: Sequence) -> bool:
     return False
 
 
-def predicate_unweighted_odd(seq: Sequence) -> bool:
+def predicate_unweighted_odd(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     """Extremal shape over C2 x C2n (odd n >= 3), single positive weight: a
     translate of the sequence splits evenly across the four classes modulo
     doubled elements, taking one of each opposite pair within every class,
     with the in-class parts summing to zero."""
-    n = _require_shape(seq, "odd", 3)
-    if not seq.is_squarefree or seq.length != 2 * n + 2:
+    n = _scope_n(TheoremId.UNWEIGHTED_ODD, group)
+    if not _is_squarefree_of_length(idxs, 2 * n + 2):
         return False
-    group = seq.group
     add = group.add_table
-    idxs = seq.indices()
     sig = 0
     for idx in idxs:
         sig = add[sig][idx]
@@ -288,10 +287,10 @@ def predicate_unweighted_odd(seq: Sequence) -> bool:
     return False
 
 
-def predicate_full_group(seq: Sequence) -> bool:
+def predicate_full_group(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     """Extremal shape when the constant sits at |G| + 1: the sequence holding
     every group element once."""
-    return seq == Sequence.full_squarefree(seq.group)
+    return _is_squarefree_of_length(idxs, group.order)
 
 
 _PREDICATES = {
@@ -325,26 +324,10 @@ def weights_for_theorem(theorem: TheoremId, group: GroupSpec, weights: WeightSet
 
 def check_theorem_hypotheses(theorem: TheoremId, group: GroupSpec, weights: WeightSet | None) -> WeightSet:
     w = weights_for_theorem(theorem, group, weights)
-    if theorem is TheoremId.C2C4_PM:
-        if group.invariant_factors != (2, 4):
-            raise HypothesisError(f"{theorem.value} needs C2 x C4, got {group.describe()}")
-    elif theorem is TheoremId.PM_GENERAL:
-        n = group.shape_2x2n()
-        if n is None or n < 3:
-            raise HypothesisError(f"{theorem.value} needs C2 x C2n with n >= 3, got {group.describe()}")
-    elif theorem is TheoremId.UNWEIGHTED_EVEN:
-        n = group.shape_2x2n()
-        if n is None or n < 3 or n % 2 == 1:
-            raise HypothesisError(f"{theorem.value} needs C2 x C2n with even n >= 4, got {group.describe()}")
-    elif theorem is TheoremId.UNWEIGHTED_ODD:
-        n = group.shape_2x2n()
-        if n is None or n < 3 or n % 2 == 0:
-            raise HypothesisError(f"{theorem.value} needs C2 x C2n with odd n >= 3, got {group.describe()}")
-    else:
-        if not gw_equals_order_plus_one(group, w):
-            raise HypothesisError(
-                f"{theorem.value} applies only when the squarefree constant is |G| + 1"
-            )
+    if theorem is not TheoremId.FULL_GROUP:
+        _scope_n(theorem, group)
+    elif not gw_equals_order_plus_one(group, w):
+        raise HypothesisError(f"{theorem.value} applies only when the squarefree constant is |G| + 1")
     return w
 
 
@@ -391,20 +374,16 @@ def verify_characterization(
     w = check_theorem_hypotheses(theorem, group, weights)
     census = enumerate_extremal(group, w, **opts)
     predicate = _PREDICATES[theorem]
-    length = census.value - 1
-    matched: list[Sequence] = []
+    matched: set[tuple[int, ...]] = set()
 
     def visit(idxs):
-        s = Sequence.from_indices(group, idxs)
-        if predicate(s):
-            matched.append(s)
-        return True
+        if predicate(group, idxs):
+            matched.add(idxs)
 
-    enumerate_squarefree(group, length, visit)
-    census_set = set(census.members)
-    predicate_set = set(matched)
-    only_census = tuple(sorted(census_set - predicate_set, key=lambda s: s.indices()))
-    only_predicate = tuple(sorted(predicate_set - census_set, key=lambda s: s.indices()))
+    enumerate_squarefree(group, census.value - 1, visit)
+    members = {s.indices(): s for s in census.members}
+    only_census = tuple(s for idxs, s in members.items() if idxs not in matched)
+    only_predicate = tuple(Sequence.from_indices(group, idxs) for idxs in sorted(matched - members.keys()))
     return CharacterizationReport(
         theorem=theorem,
         group=group,
@@ -425,7 +404,7 @@ def check_doubled_subsums_full(seq: Sequence) -> bool:
     from zerosum.sequences import subsums_sigma0
 
     group = seq.group
-    n = _require_shape(seq, None, 3)
+    n = _scope_n(TheoremId.PM_GENERAL, group)
     if not seq.is_squarefree or seq.length != 2 * n + 1:
         raise ValueError("expected a maximal failing squarefree sequence of length 2n + 1")
     w = WeightSet.plus_minus(group.exponent)

@@ -215,11 +215,6 @@ class Sequence:
         mult[i] -= 1
         return Sequence(self.group, tuple(mult))
 
-    def add_index(self, i: int) -> "Sequence":
-        mult = list(self.mult)
-        mult[i] += 1
-        return Sequence(self.group, tuple(mult))
-
     def __repr__(self) -> str:
         return f"Sequence[{self.literal() or 'empty'} over {self.group}]"
 
@@ -440,17 +435,8 @@ def oracle_nonempty_subsums(seq: Sequence) -> set[int]:
 # -- enumeration ----------------------------------------------------------------
 
 
-def _colex_subsets(limit: int, size: int) -> Iterator[tuple[int, ...]]:
-    if size == 0:
-        yield ()
-        return
-    for top in range(size - 1, limit):
-        for rest in _colex_subsets(top, size - 1):
-            yield rest + (top,)
-
-
 def enumerate_squarefree(group: GroupSpec, length: int, visitor: Callable) -> int:
-    """Visit every squarefree sequence of the length, in colex index order.
+    """Visit every squarefree sequence of the length, in lex index order.
 
     The visitor receives the ascending index tuple; returning False halts the
     walk.  Returns the number of sequences visited.
@@ -458,40 +444,8 @@ def enumerate_squarefree(group: GroupSpec, length: int, visitor: Callable) -> in
     if not 0 <= length <= group.order:
         raise ValueError(f"squarefree length {length} out of range [0,{group.order}]")
     count = 0
-    for subset in _colex_subsets(group.order, length):
+    for subset in combinations(range(group.order), length):
         count += 1
         if visitor(subset) is False:
-            break
-    return count
-
-
-def _colex_multisets(limit: int, size: int, max_mult: int) -> Iterator[tuple[int, ...]]:
-    if size == 0:
-        yield ()
-        return
-    for top in range(limit):
-        for run in range(1, min(max_mult, size) + 1):
-            if run == size:
-                yield (top,) * run
-            else:
-                for rest in _colex_multisets(top, size - run, max_mult):
-                    yield rest + (top,) * run
-
-
-def enumerate_multisets(group: GroupSpec, length: int, max_mult: int, visitor: Callable) -> int:
-    """Visit every multiset of the length with multiplicities <= max_mult.
-
-    Each multiset appears exactly once, as its nondecreasing index tuple, in
-    colex order.  Returning False from the visitor halts the walk.  Returns
-    the number visited.
-    """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    if max_mult < 1:
-        raise ValueError("max_mult must be >= 1")
-    count = 0
-    for stream in _colex_multisets(group.order, length, max_mult):
-        count += 1
-        if visitor(stream) is False:
             break
     return count

@@ -296,6 +296,15 @@ def test_table_cyclic_range_floor(capsys):
     assert "--range" in err
 
 
+@pytest.mark.parametrize("family,rng", [("2,2n", "33:34"), ("n", "65:66"), ("2,2n", "16:10000000000")])
+def test_table_range_past_order_ceiling_exits_64(capsys, family, rng):
+    code, out, err = run(capsys, "table", "--family", family, "--range", rng,
+                         "--kind", "harborth", "--weights", "classic")
+    assert code == 64
+    assert "--range" in err and "ceiling" in err
+    assert out == ""
+
+
 # -- README examples ---------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Search engine checks: known small values, witness contracts, determinism."""
 
+import math
 import os
 import random
 import subprocess
@@ -24,11 +25,10 @@ from zerosum.engine import (
     failing_census,
     harborth,
 )
-from zerosum.groups import parse_group
+from zerosum.groups import GroupSpec, parse_group
 from zerosum.sequences import (
     Sequence,
     WeightSet,
-    enumerate_multisets,
     enumerate_squarefree,
     oracle_has_weighted_zero_of_length,
     oracle_has_weighted_zero_up_to,
@@ -138,6 +138,54 @@ def test_trivial_weights_collapse():
 # -- cross-checks against the recursive oracle ------------------------------------
 
 
+def _colex_multisets(limit, size, max_mult):
+    if size == 0:
+        yield ()
+        return
+    for top in range(limit):
+        for run in range(1, min(max_mult, size) + 1):
+            if run == size:
+                yield (top,) * run
+            else:
+                for rest in _colex_multisets(top, size - run, max_mult):
+                    yield rest + (top,) * run
+
+
+def enumerate_multisets(group, length, max_mult, visitor):
+    """Visit every multiset of the length with multiplicities <= max_mult.
+
+    Each multiset appears exactly once, as its nondecreasing index tuple, in
+    colex order.  Returning False from the visitor halts the walk.  Returns
+    the number visited.
+    """
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    if max_mult < 1:
+        raise ValueError("max_mult must be >= 1")
+    count = 0
+    for stream in _colex_multisets(group.order, length, max_mult):
+        count += 1
+        if visitor(stream) is False:
+            break
+    return count
+
+
+def test_enumerate_multisets_counts_and_order():
+    g = GroupSpec([4])
+    seen = []
+    n = enumerate_multisets(g, 3, 3, seen.append)
+    assert n == math.comb(4 + 3 - 1, 3) == len(seen)
+    assert len(set(seen)) == n
+    assert seen[0] == (0, 0, 0)
+    assert all(t == tuple(sorted(t)) for t in seen)
+    assert seen == sorted(seen, key=lambda t: tuple(reversed(t)))
+    capped = []
+    enumerate_multisets(g, 3, 1, capped.append)
+    assert capped == [t for t in seen if len(set(t)) == 3]
+    with pytest.raises(ValueError):
+        enumerate_multisets(g, 2, 0, seen.append)
+
+
 def _brute_max_failing_multiset(group, weights, check):
     """Largest failing length and the colex-first failing multiset of it."""
     best, witness = 0, Sequence.empty(group)
@@ -220,17 +268,14 @@ def test_critical_matches_bruteforce():
         found = []
 
         def visit(idxs):
-            if 0 in idxs:
-                return True
             s = Sequence.from_indices(g, idxs)
-            if oracle_nonempty_subsums(s) != full:
+            if 0 not in idxs and oracle_nonempty_subsums(s) != full:
                 found.append(s)
-                return False
-            return True
 
         enumerate_squarefree(g, length, visit)
         if found:
-            best, witness = length, found[0]
+            # the reported witness is the colex-least failing set
+            best, witness = length, min(found, key=lambda s: tuple(reversed(s.indices())))
     r = critical_number(g)
     assert r.value == best + 1
     assert r.witness == witness
@@ -455,6 +500,18 @@ def test_exists_failing_sequence_probe():
     assert not exists_failing_sequence(g, w, 3, range(1, 4))
     # squarefree mode: lengths beyond the group order are impossible
     assert not exists_failing_sequence(g, w, 5, [4], mode="squarefree")
+
+
+def test_exists_failing_sequence_refuses_bad_input():
+    g = parse_group("6")
+    w = classic(6)
+    # the two modes give different answers here, so a misspelt mode cannot
+    # quietly run the multiset walk
+    assert exists_failing_sequence(g, w, 7, [6], mode="multiset") is True
+    assert exists_failing_sequence(g, w, 7, [6], mode="squarefree") is False
+    for length, mode in [(-1, "multiset"), (-1, "squarefree"), (7, "squarefre"), (0, "Multiset")]:
+        with pytest.raises(SearchInputError):
+            exists_failing_sequence(g, w, length, [1], mode=mode, node_budget=0)
 
 
 def test_compute_constant_dispatch():

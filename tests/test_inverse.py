@@ -20,7 +20,7 @@ from zerosum.inverse import (
     verify_characterization,
     weights_for_theorem,
 )
-from zerosum.inverse import _pm_general_via_basis
+from zerosum.inverse import _PREDICATES, _pm_general_via_basis
 from zerosum.sequences import (
     Sequence,
     WeightSet,
@@ -132,79 +132,78 @@ def test_report_to_dict():
 def test_predicate_c2c4_sizes_1_3():
     g = parse_group("2,4")
     s = seq_of(g, [(0, 0), (1, 0), (1, 1), (1, 2)])
-    assert predicate_c2c4_pm(s)
+    assert predicate_c2c4_pm(g, s.indices())
     assert not oracle_has_weighted_zero_of_length(s, pm(4), 4)
 
 
 def test_predicate_c2c4_sizes_2_2():
     g = parse_group("2,4")
     s = seq_of(g, [(0, 0), (0, 1), (1, 0), (1, 2)])
-    assert predicate_c2c4_pm(s)
+    assert predicate_c2c4_pm(g, s.indices())
     assert not oracle_has_weighted_zero_of_length(s, pm(4), 4)
 
 
 def test_predicate_c2c4_rejects():
     g = parse_group("2,4")
     s = seq_of(g, [(0, 0), (0, 1), (0, 2), (0, 3)])
-    assert not predicate_c2c4_pm(s)
+    assert not predicate_c2c4_pm(g, s.indices())
     assert oracle_has_weighted_zero_of_length(s, pm(4), 4)
 
 
 def test_predicate_pm_general_three_odd_cosets():
     g = parse_group("2,6")
     s = seq_of(g, [(0, 0), (1, 0), (1, 2), (1, 4), (0, 1), (0, 3), (0, 5)])
-    assert predicate_pm_general(s)
+    assert predicate_pm_general(g, s.indices())
     assert not oracle_has_weighted_zero_of_length(s, pm(6), 6)
 
 
 def test_predicate_pm_general_rejects_four_cosets():
     g = parse_group("2,6")
     s = seq_of(g, [(0, 0), (1, 0), (1, 2), (1, 4), (0, 1), (0, 3), (1, 1)])
-    assert not predicate_pm_general(s)
+    assert not predicate_pm_general(g, s.indices())
     assert oracle_has_weighted_zero_of_length(s, pm(6), 6)
 
 
 def test_predicate_unweighted_odd_accepts():
     g = parse_group("2,6")
     s = seq_of(g, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3)])
-    assert predicate_unweighted_odd(s)
+    assert predicate_unweighted_odd(g, s.indices())
     assert not oracle_has_weighted_zero_of_length(s, classic(6), 6)
 
 
 def test_predicate_unweighted_odd_rejects():
     g = parse_group("2,6")
     s = seq_of(g, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 5)])
-    assert not predicate_unweighted_odd(s)
+    assert not predicate_unweighted_odd(g, s.indices())
     assert oracle_has_weighted_zero_of_length(s, classic(6), 6)
 
 
 def test_predicate_unweighted_even_accepts():
     g = parse_group("2,8")
     s = seq_of(g, [(0, b) for b in range(8)] + [(1, 5)])
-    assert predicate_unweighted_even(s)
+    assert predicate_unweighted_even(g, s.indices())
     assert not oracle_has_weighted_zero_of_length(s, classic(8), 8)
 
 
 def test_predicate_unweighted_even_rejects():
     g = parse_group("2,8")
     s = seq_of(g, [(0, 0), (0, 4), (1, 0), (1, 4), (0, 2), (0, 6), (1, 2), (1, 6), (0, 1)])
-    assert not predicate_unweighted_even(s)
+    assert not predicate_unweighted_even(g, s.indices())
     assert oracle_has_weighted_zero_of_length(s, classic(8), 8)
 
 
 def test_predicate_full_group():
     g = parse_group("2,2")
-    assert predicate_full_group(Sequence.full_squarefree(g))
-    assert not predicate_full_group(seq_of(g, [(0, 0), (0, 1), (1, 0)]))
+    assert predicate_full_group(g, tuple(range(g.order)))
+    assert not predicate_full_group(g, seq_of(g, [(0, 0), (0, 1), (1, 0)]).indices())
 
 
 def test_pm_general_coset_and_basis_forms_agree():
     # the coset-count form must match the literal per-basis split form everywhere
     g = parse_group("2,6")
 
-    def check(idx):
-        s = Sequence.from_indices(g, idx)
-        assert predicate_pm_general(s) == _pm_general_via_basis(s)
+    def check(idxs):
+        assert predicate_pm_general(g, idxs) == _pm_general_via_basis(g, idxs)
 
     assert enumerate_squarefree(g, 7, check) == 792
 
@@ -231,18 +230,69 @@ def test_equal_groups_give_equal_verdicts():
                 idxs = [a.add_indices(a.scale_index(u, a.index_of(c)), shift) for c in shape]
                 if k % 4 == 2:
                     idxs[rng.randrange(len(idxs))] = rng.choice(sorted(set(range(a.order)) - set(idxs)))
-            yield idxs
+            yield tuple(idxs)
 
     odd_verdicts = []
     for idxs in candidates(odd_shape):
-        odd_verdicts.append(predicate_unweighted_odd(Sequence.from_indices(a, idxs)))
-        assert predicate_unweighted_odd(Sequence.from_indices(b, idxs)) == odd_verdicts[-1], idxs
+        odd_verdicts.append(predicate_unweighted_odd(a, idxs))
+        assert predicate_unweighted_odd(b, idxs) == odd_verdicts[-1], idxs
     pm_verdicts = []
     for idxs in candidates(pm_shape):
-        sa, sb = Sequence.from_indices(a, idxs), Sequence.from_indices(b, idxs)
-        pm_verdicts.append(predicate_pm_general(sb))
-        assert predicate_pm_general(sa) == pm_verdicts[-1] == _pm_general_via_basis(sa), idxs
+        pm_verdicts.append(predicate_pm_general(b, idxs))
+        assert predicate_pm_general(a, idxs) == pm_verdicts[-1] == _pm_general_via_basis(a, idxs), idxs
     assert set(odd_verdicts) == set(pm_verdicts) == {True, False}
+
+
+# An accepted tuple per theorem, from the hand-built examples above.
+ACCEPTED = {
+    TheoremId.C2C4_PM: ("2,4", [(0, 0), (1, 0), (1, 1), (1, 2)]),
+    TheoremId.PM_GENERAL: ("2,6", [(0, 0), (1, 0), (1, 2), (1, 4), (0, 1), (0, 3), (0, 5)]),
+    TheoremId.UNWEIGHTED_EVEN: ("2,8", [(0, b) for b in range(8)] + [(1, 5)]),
+    TheoremId.UNWEIGHTED_ODD: ("2,6", [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3)]),
+    TheoremId.FULL_GROUP: ("2,2", [(0, 0), (1, 0), (0, 1), (1, 1)]),
+}
+
+
+@pytest.mark.parametrize("theorem", list(ACCEPTED), ids=lambda t: t.value)
+def test_predicate_rejects_wrong_length_and_repeated_index(theorem):
+    predicate = _PREDICATES[theorem]
+    spec, coords = ACCEPTED[theorem]
+    g = parse_group(spec)
+    t = seq_of(g, coords).indices()
+    assert predicate(g, t)
+    assert not predicate(g, t[:-1])
+    assert not predicate(g, t + (t[0],))
+    # every right-length tuple with one term replaced by a repeat of another
+    for i in range(len(t)):
+        for j in range(len(t)):
+            if i != j:
+                assert not predicate(g, t[:i] + (t[j],) + t[i + 1:]), (t, i, j)
+
+
+SCOPE_GROUPS = ["2", "4", "6", "8", "2,2", "2,4", "2,6", "2,8", "2,10", "2,12", "2,14", "3,3", "4,4",
+                "2,2,2", "2,2,4", "4,8"]
+
+
+@pytest.mark.parametrize("theorem", [t for t in TheoremId if t is not TheoremId.FULL_GROUP],
+                         ids=lambda t: t.value)
+def test_predicate_scope_is_the_hypothesis_scope(theorem):
+    predicate = _PREDICATES[theorem]
+    verdicts = []
+    for spec in SCOPE_GROUPS:
+        g = parse_group(spec)
+        try:
+            check_theorem_hypotheses(theorem, g, None)
+            in_scope = True
+        except HypothesisError:
+            in_scope = False
+        try:
+            predicate(g, (0, 1, 2))
+            applies = True
+        except HypothesisError:
+            applies = False
+        assert applies == in_scope, spec
+        verdicts.append(in_scope)
+    assert set(verdicts) == {True, False}
 
 
 # -- hypothesis checking -------------------------------------------------------------
