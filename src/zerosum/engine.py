@@ -390,7 +390,10 @@ def exists_failing_sequence(
     universe = tuple(range(group.order))
     if squarefree and length > group.order:
         return False
-    init_state, push = subsum_kernel(group, weights, zl[-1], zl)
+    # a zero-sum longer than the sequence cannot occur, so no row above
+    # ``length`` is ever needed
+    zl = tuple(j for j in zl if j <= length)
+    init_state, push = subsum_kernel(group, weights, zl[-1] if zl else 0, zl)
     hits = _walk(universe, init_state, push, best=length - 1, cap=length, squarefree=squarefree,
                  collect=False, nodes=0, budget=node_budget)[2]
     return bool(hits)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 ORDER_CEILING = 64
@@ -397,67 +397,3 @@ def coset_index_mod_2G(group: GroupSpec, g) -> int:
         raise ValueError(f"coset indexing needs a C2+C2n group, got {group}")
     a, b = group.coords_of(_member_index(group, g))
     return a + 2 * (b & 1)
-
-
-@dataclass(frozen=True)
-class Basis2x2n:
-    """An ordered basis (e1, e2) of C2 + C2n with ord(e1)=2, ord(e2)=2n.
-
-    ``coords`` maps each element index to its (a1, a2) coordinates in this
-    basis; it doubles as the bijectivity certificate.
-    """
-
-    e1: GroupElement
-    e2: GroupElement
-    coords: tuple[tuple[int, int], ...]
-
-    @property
-    def group(self) -> GroupSpec:
-        return self.e1.group
-
-    def coords_of(self, g) -> tuple[int, int]:
-        return self.coords[_member_index(self.group, g)]
-
-
-def enumerate_bases_2x2n(group: GroupSpec) -> list[Basis2x2n]:
-    """All ordered bases of a C2 + C2n group, sorted by (index(e1), index(e2)).
-
-    Built once per group; each call returns a fresh list, so a caller that
-    edits it leaves the cached bases alone.
-    """
-    return list(_bases_2x2n(group))
-
-
-@lru_cache(maxsize=64)
-def _bases_2x2n(group: GroupSpec) -> tuple[Basis2x2n, ...]:
-    """Brute force: try every pair with the right element orders and keep it
-    exactly when a1*e1 + a2*e2 hits every element once."""
-    n2 = group.shape_2x2n()
-    if n2 is None:
-        raise ValueError(f"basis enumeration needs a C2+C2n group, got {group}")
-    exp = group.exponent
-    N = group.order
-    out = []
-    for i in range(N):
-        if group.order_of_index(i) != 2:
-            continue
-        for j in range(N):
-            if group.order_of_index(j) != exp:
-                continue
-            coords: list[tuple[int, int] | None] = [None] * N
-            seen = 0
-            for a1 in range(2):
-                acc = group.scale_index(a1, i)
-                for a2 in range(exp):
-                    coords[acc] = (a1, a2)
-                    seen |= 1 << acc
-                    acc = group.add_indices(acc, j)
-            if seen == group.full_mask:
-                out.append(
-                    Basis2x2n(
-                        e1=GroupElement(group, i),
-                        e2=GroupElement(group, j),
-                        coords=tuple(coords),  # type: ignore[arg-type]
-                    )
-                )
-    return tuple(out)

@@ -9,6 +9,11 @@ run builds both sides independently, search on one side and the predicate
 filter over every candidate index tuple on the other, and reports the
 symmetric difference.  Each theorem's group scope is written once, in
 ``_SCOPES``; the hypothesis check and the predicates both read it.
+
+The paper states its shapes over C2 x C2n "for some basis (e1, e2)".  None
+of them depends on the basis, so each predicate is a basis-free statement
+about the classes of G/2G, the sum sigma(S) of the terms and negation, and
+no predicate enumerates bases.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from math import comb
 
 from zerosum.engine import ConstantKind, InternalCheckError, failing_census
 from zerosum.formulas import gw_equals_order_plus_one
-from zerosum.groups import GroupSpec, coset_index_mod_2G, doubling_subgroup, enumerate_bases_2x2n
+from zerosum.groups import GroupSpec, coset_index_mod_2G, doubling_subgroup
 from zerosum.sequences import (
     Sequence,
     WeightSet,
@@ -125,89 +130,42 @@ def _is_squarefree_of_length(idxs: tuple[int, ...], length: int) -> bool:
     return len(idxs) == length and len(set(idxs)) == length
 
 
-def _basis_split(basis, idxs: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Coordinates along e2 for the terms with e1-coordinate 0 and 1."""
-    parts: tuple[list[int], list[int]] = ([], [])
-    coords = basis.coords
-    for idx in idxs:
-        a1, a2 = coords[idx]
-        parts[a1].append(a2)
-    return parts
-
-
-def predicate_c2c4_pm(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
-    """Extremal shape over C2 x C4 with both signs allowed: for some basis the
-    halves split 1 + 3, or split 2 + 2 sharing one element with the two leftover
-    elements summing to an odd multiple of e2."""
-    _scope_n(TheoremId.C2C4_PM, group)
-    if not _is_squarefree_of_length(idxs, 4):
-        return False
-    for basis in enumerate_bases_2x2n(group):
-        s0, s1 = _basis_split(basis, idxs)
-        sizes = sorted((len(s0), len(s1)))
-        if sizes == [1, 3]:
-            return True
-        if sizes == [2, 2]:
-            shared = set(s0) & set(s1)
-            if len(shared) == 1:
-                (g0,) = set(s0) - shared
-                (g1,) = set(s1) - shared
-                if (g0 + g1) % 4 in (1, 3):
-                    return True
-    return False
-
-
 @lru_cache(maxsize=64)
 def _coset_table(group: GroupSpec) -> tuple[int, ...]:
     """``coset_index_mod_2G`` of every element index."""
     return tuple(coset_index_mod_2G(group, idx) for idx in range(group.order))
 
 
-def _involution_coset_reps(group: GroupSpec) -> list[int]:
-    """Representatives of G / 2G for C2 x C2n with odd n: zero and the three
-    involutions, which then lie one in each nonzero class."""
-    two_g = doubling_subgroup(group)
-    reps = [0]
-    for idx in range(1, group.order):
-        if group.order_of_index(idx) == 2:
-            if idx in two_g:
-                raise InternalCheckError(f"involution {group.coords_of(idx)} lies in 2G")
-            reps.append(idx)
-    if len(reps) != 4:
-        raise InternalCheckError("expected zero plus three involutions")
-    return reps
-
-
 @lru_cache(maxsize=64)
-def _odd_layout(group: GroupSpec):
-    """What predicate_unweighted_odd needs of a C2 x C2n group (odd n), as
-    ``(halves, split, pair_masks)``: ``halves[x]`` lists every h with 2h = x,
-    ``split[t]`` is ``(c, t - reps[c])`` for the class c of t, and each pair
-    {g, -g} in 2G without 0 has one mask holding the bits of g and -g."""
-    N = group.order
-    two_g = doubling_subgroup(group)
-    reps = _involution_coset_reps(group)
-    split = []
-    for t in range(N):
-        for c, r in enumerate(reps):
-            offset = group.add_indices(t, group.neg_index(r))
-            if offset in two_g:
-                split.append((c, offset))
-                break
-        else:
-            raise InternalCheckError("element in no coset")
-    halves: list[list[int]] = [[] for _ in range(N)]
-    for h in range(N):
-        halves[group.scale_index(2, h)].append(h)
-    pair_masks = []
-    seen = set()
-    for g in two_g.indices():
-        if g == 0 or g in seen:
-            continue
-        neg = group.neg_index(g)
-        seen.update((g, neg))
-        pair_masks.append(1 << g | 1 << neg)
-    return tuple(map(tuple, halves)), tuple(split), tuple(pair_masks)
+def _halves_table(group: GroupSpec) -> tuple[int, ...]:
+    """Per element x: the bit mask of every h with 2h = x (0 off 2G)."""
+    out = [0] * group.order
+    for h in range(group.order):
+        out[group.scale_index(2, h)] |= 1 << h
+    return tuple(out)
+
+
+def _sigma(group: GroupSpec, idxs: tuple[int, ...]) -> int:
+    """The index of sigma(S), the sum of the terms."""
+    add = group.add_table
+    total = 0
+    for idx in idxs:
+        total = add[total][idx]
+    return total
+
+
+def predicate_c2c4_pm(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
+    """Extremal shape over C2 x C4 with both signs allowed: the support meets
+    exactly three of the four classes of G/2G.  A basis's halves are the two
+    cosets of <e2>, two classes each, so the paper's splits along some basis
+    (1 + 3, or 2 + 2 sharing one e2-coordinate with the leftover two summing
+    to an odd multiple of e2) are the four-sets that fill one class and
+    touch two more."""
+    _scope_n(TheoremId.C2C4_PM, group)
+    if not _is_squarefree_of_length(idxs, 4):
+        return False
+    coset = _coset_table(group)
+    return len({coset[idx] for idx in idxs}) == 3
 
 
 def predicate_pm_general(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
@@ -224,67 +182,39 @@ def predicate_pm_general(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     return counts.count(0) == 1 and all(c % 2 == 1 for c in counts if c)
 
 
-def _pm_general_via_basis(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
-    """Literal reading of the same shape: some basis splits the sequence into
-    the four classes with one part empty and the rest of odd size."""
-    n = _scope_n(TheoremId.PM_GENERAL, group)
-    if not _is_squarefree_of_length(idxs, 2 * n + 1):
-        return False
-    for basis in enumerate_bases_2x2n(group):
-        sizes = [0, 0, 0, 0]
-        for idx in idxs:
-            a1, a2 = basis.coords[idx]
-            sizes[a1 + 2 * (a2 % 2)] += 1
-        if sum(1 for s in sizes if s == 0) == 1 and all(s % 2 == 1 for s in sizes if s):
-            return True
-    return False
-
-
 def predicate_unweighted_even(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
-    """Extremal shape over C2 x C2n (even n >= 4), single positive weight: for
-    some basis, the total along e2 avoids the support of the odd-size half."""
+    """Extremal shape over C2 x C2n (even n >= 4), single positive weight:
+    sigma(S) is not a term of S.  The paper asks that, for some basis, the
+    total along e2 avoid the e2-coordinates of the odd-size half; the
+    coordinates of a basis are an isomorphism onto Z2 x Z2n, and sigma(S)
+    has the e1-coordinate of the odd-size half, so every basis asks whether
+    sigma(S) lies in S."""
     n = _scope_n(TheoremId.UNWEIGHTED_EVEN, group)
     if not _is_squarefree_of_length(idxs, 2 * n + 1):
         return False
-    for basis in enumerate_bases_2x2n(group):
-        s0, s1 = _basis_split(basis, idxs)
-        total = (sum(s0) + sum(s1)) % (2 * n)
-        odd_part = s0 if len(s0) % 2 == 1 else s1
-        if total not in odd_part:
-            return True
-    return False
+    return _sigma(group, idxs) not in idxs
 
 
 def predicate_unweighted_odd(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
-    """Extremal shape over C2 x C2n (odd n >= 3), single positive weight: a
-    translate of the sequence splits evenly across the four classes modulo
-    doubled elements, taking one of each opposite pair within every class,
-    with the in-class parts summing to zero."""
+    """Extremal shape over C2 x C2n (odd n >= 3), single positive weight:
+    for some h with 2h = sigma(S), T = S - h meets -T exactly in G[2], the
+    four elements with 2x = 0.  G[2] holds one element of each class of
+    G/2G, so this is the paper's one of each opposite pair in every class;
+    the class sizes follow from the length, and the in-class parts sum to
+    sigma(T) = sigma(S) - (2n + 2)h = 0.  Translated by h, the test reads: S
+    meets sigma(S) - S exactly in the halves of sigma(S).  (With no halves
+    it fails anyway, as 2n + 2 terms fill some pair {x, sigma(S) - x}.)"""
     n = _scope_n(TheoremId.UNWEIGHTED_ODD, group)
     if not _is_squarefree_of_length(idxs, 2 * n + 2):
         return False
-    add = group.add_table
-    sig = 0
+    sig = _sigma(group, idxs)
+    reflect = group.add_table[sig]
+    neg = group.scale_table[-1]
+    support = mirror = 0
     for idx in idxs:
-        sig = add[sig][idx]
-    halves, split, pair_masks = _odd_layout(group)
-    half = (n + 1) // 2
-    for h in halves[sig]:
-        translate = add[group.neg_index(h)]
-        parts = [0, 0, 0, 0]  # in-class offsets of the translated terms, as bit masks
-        total = 0
-        for idx in idxs:
-            c, offset = split[translate[idx]]
-            parts[c] |= 1 << offset
-            total = add[total][offset]
-        if any(p.bit_count() != half for p in parts):
-            continue
-        # one of each opposite pair: a pair both in or both out fails
-        if any((p & m) in (0, m) for p in parts for m in pair_masks):
-            continue
-        if total == 0:
-            return True
-    return False
+        support |= 1 << idx
+        mirror |= 1 << reflect[neg[idx]]
+    return support & mirror == _halves_table(group)[sig]
 
 
 def predicate_full_group(group: GroupSpec, idxs: tuple[int, ...]) -> bool:

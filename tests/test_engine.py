@@ -489,6 +489,33 @@ def test_exists_failing_sequence_stops_at_the_first_hit():
     assert exc.value.nodes == 145
 
 
+def test_exists_failing_sequence_ignores_zero_lengths_above_length(monkeypatch):
+    # a sequence has no subsequence longer than itself, so a zero length above
+    # ``length`` must neither size the table (10**9 rows here) nor move the
+    # answer or the node count of the budget tests above
+    g = parse_group("2,4")
+    kernel = engine.subsum_kernel
+    length = 0
+
+    def bounded_kernel(group, weights, cap, zero_lengths=()):
+        assert cap <= length, f"table cap {cap} above length {length}"
+        return kernel(group, weights, cap, zero_lengths)
+
+    monkeypatch.setattr(engine, "subsum_kernel", bounded_kernel)
+    for length, expect, nodes in ((6, True, 145), (7, False, 1_607)):
+        assert exists_failing_sequence(g, pm(4), length, [4, 10**9], node_budget=nodes) is expect
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            exists_failing_sequence(g, pm(4), length, [4, 10**9], node_budget=nodes - 1)
+        assert exc.value.nodes == nodes
+    # every zero length above ``length``: nothing can be hit, and the walk
+    # takes its first chain of 5 nodes, as it did with a table up to row 6
+    length = 5
+    for mode in ("multiset", "squarefree"):
+        assert exists_failing_sequence(g, pm(4), 5, [6, 10**9], mode=mode, node_budget=5) is True
+        with pytest.raises(SearchBudgetExceeded):
+            exists_failing_sequence(g, pm(4), 5, [6, 10**9], mode=mode, node_budget=4)
+
+
 # -- auxiliary entry points -----------------------------------------------------------
 
 

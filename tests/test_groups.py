@@ -4,14 +4,12 @@ import pytest
 
 from zerosum.groups import (
     ORDER_CEILING,
-    Basis2x2n,
     GroupCeilingError,
     GroupMismatchError,
     GroupSpec,
     SumSet,
     coset_index_mod_2G,
     doubling_subgroup,
-    enumerate_bases_2x2n,
     parse_group,
 )
 
@@ -228,65 +226,6 @@ def test_coset_index_examples_and_partition():
         assert counts == [n, n, n, n]
     with pytest.raises(ValueError):
         coset_index_mod_2G(GroupSpec([8]), 1)
-
-
-def _oracle_bases(group):
-    # independent brute force: every ordered element pair with the right
-    # orders, explicit bijection test
-    found = []
-    for i in range(group.order):
-        if group.order_of_index(i) != 2:
-            continue
-        for j in range(group.order):
-            if group.order_of_index(j) != group.exponent:
-                continue
-            hit = set()
-            for a1 in range(2):
-                for a2 in range(group.exponent):
-                    x = group.add_indices(group.scale_index(a1, i), group.scale_index(a2, j))
-                    hit.add(x)
-            if len(hit) == group.order:
-                found.append((i, j))
-    return found
-
-
-def test_enumerate_bases_against_oracle():
-    for factors in [(2, 2), (2, 4), (2, 6)]:
-        g = GroupSpec(factors)
-        bases = enumerate_bases_2x2n(g)
-        assert [(b.e1.index, b.e2.index) for b in bases] == sorted(_oracle_bases(g))
-        for b in bases:
-            assert b.e1.order == 2
-            assert b.e2.order == g.exponent
-            # coords table inverts a1*e1 + a2*e2
-            for idx in range(g.order):
-                a1, a2 = b.coords[idx]
-                assert g.add_indices(g.scale_index(a1, b.e1.index), g.scale_index(a2, b.e2.index)) == idx
-
-
-def test_enumerate_bases_cache_survives_caller_edits():
-    g = GroupSpec([2, 6])
-    expect = list(enumerate_bases_2x2n(g))
-    edits = [
-        lambda bases: bases.append(bases[0]),
-        lambda bases: bases.pop(),
-        lambda bases: bases.clear(),
-    ]
-    for edit in edits:
-        edit(enumerate_bases_2x2n(g))
-        assert enumerate_bases_2x2n(g) == expect
-    assert [(b.e1.index, b.e2.index) for b in enumerate_bases_2x2n(g)] == sorted(_oracle_bases(g))
-
-
-def test_klein_group_has_six_bases():
-    assert len(enumerate_bases_2x2n(GroupSpec([2, 2]))) == 6
-
-
-def test_bases_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        enumerate_bases_2x2n(GroupSpec([8]))
-    with pytest.raises(ValueError):
-        enumerate_bases_2x2n(GroupSpec([4, 4]))
 
 
 def test_sumset_container_basics():

@@ -2,10 +2,13 @@
 
 import math
 import random
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
-from zerosum.groups import GroupSpec, parse_group
+from zerosum.groups import GroupElement, GroupSpec, doubling_subgroup, parse_group
 from zerosum.inverse import (
     HypothesisError,
     TheoremId,
@@ -20,7 +23,7 @@ from zerosum.inverse import (
     verify_characterization,
     weights_for_theorem,
 )
-from zerosum.inverse import _PREDICATES, _pm_general_via_basis
+from zerosum.inverse import _PREDICATES, _is_squarefree_of_length, _scope_n
 from zerosum.sequences import (
     Sequence,
     WeightSet,
@@ -198,6 +201,222 @@ def test_predicate_full_group():
     assert not predicate_full_group(g, seq_of(g, [(0, 0), (0, 1), (1, 0)]).indices())
 
 
+# -- the paper's literal basis readings, as test references -----------------------
+#
+# The paper states each C2 x C2n shape "for some basis (e1, e2)".  The
+# predicates in ``zerosum.inverse`` are basis-free; the readings below try
+# every basis, as the statements do, and the odd one lays G/2G out by coset
+# representatives, zero and the three involutions.
+
+
+@dataclass(frozen=True)
+class Basis2x2n:
+    """An ordered basis (e1, e2) of C2 + C2n with ord(e1)=2, ord(e2)=2n.
+
+    ``coords`` maps each element index to its (a1, a2) coordinates in this
+    basis; it doubles as the bijectivity certificate.
+    """
+
+    e1: GroupElement
+    e2: GroupElement
+    coords: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=64)
+def enumerate_bases_2x2n(group: GroupSpec) -> tuple[Basis2x2n, ...]:
+    """All ordered bases of a C2 + C2n group, sorted by (index(e1), index(e2)).
+    Brute force: try every pair with the right element orders and keep it
+    exactly when a1*e1 + a2*e2 hits every element once."""
+    if group.shape_2x2n() is None:
+        raise ValueError(f"basis enumeration needs a C2+C2n group, got {group}")
+    exp = group.exponent
+    N = group.order
+    out = []
+    for i in range(N):
+        if group.order_of_index(i) != 2:
+            continue
+        for j in range(N):
+            if group.order_of_index(j) != exp:
+                continue
+            coords = [None] * N
+            seen = 0
+            for a1 in range(2):
+                acc = group.scale_index(a1, i)
+                for a2 in range(exp):
+                    coords[acc] = (a1, a2)
+                    seen |= 1 << acc
+                    acc = group.add_indices(acc, j)
+            if seen == group.full_mask:
+                out.append(Basis2x2n(GroupElement(group, i), GroupElement(group, j), tuple(coords)))
+    return tuple(out)
+
+
+def _basis_split(basis, idxs):
+    """Coordinates along e2 for the terms with e1-coordinate 0 and 1."""
+    parts = ([], [])
+    for idx in idxs:
+        a1, a2 = basis.coords[idx]
+        parts[a1].append(a2)
+    return parts
+
+
+def _c2c4_pm_via_basis(group, idxs):
+    """For some basis the halves split 1 + 3, or split 2 + 2 sharing one
+    element with the two leftover elements summing to an odd multiple of e2."""
+    _scope_n(TheoremId.C2C4_PM, group)
+    if not _is_squarefree_of_length(idxs, 4):
+        return False
+    for basis in enumerate_bases_2x2n(group):
+        s0, s1 = _basis_split(basis, idxs)
+        sizes = sorted((len(s0), len(s1)))
+        if sizes == [1, 3]:
+            return True
+        if sizes == [2, 2]:
+            shared = set(s0) & set(s1)
+            if len(shared) == 1:
+                (g0,) = set(s0) - shared
+                (g1,) = set(s1) - shared
+                if (g0 + g1) % 4 in (1, 3):
+                    return True
+    return False
+
+
+def _pm_general_via_basis(group, idxs):
+    """Some basis splits the sequence into the four classes with one part
+    empty and the rest of odd size."""
+    n = _scope_n(TheoremId.PM_GENERAL, group)
+    if not _is_squarefree_of_length(idxs, 2 * n + 1):
+        return False
+    for basis in enumerate_bases_2x2n(group):
+        sizes = [0, 0, 0, 0]
+        for idx in idxs:
+            a1, a2 = basis.coords[idx]
+            sizes[a1 + 2 * (a2 % 2)] += 1
+        if sum(1 for s in sizes if s == 0) == 1 and all(s % 2 == 1 for s in sizes if s):
+            return True
+    return False
+
+
+def _unweighted_even_via_basis(group, idxs):
+    """For some basis, the total along e2 avoids the support of the odd-size
+    half."""
+    n = _scope_n(TheoremId.UNWEIGHTED_EVEN, group)
+    if not _is_squarefree_of_length(idxs, 2 * n + 1):
+        return False
+    for basis in enumerate_bases_2x2n(group):
+        s0, s1 = _basis_split(basis, idxs)
+        total = (sum(s0) + sum(s1)) % (2 * n)
+        odd_part = s0 if len(s0) % 2 == 1 else s1
+        if total not in odd_part:
+            return True
+    return False
+
+
+@lru_cache(maxsize=64)
+def _odd_layout(group):
+    """``(halves, split, pair_masks)`` of a C2 x C2n group (odd n), with zero
+    and the three involutions as representatives of G / 2G: ``halves[x]``
+    lists every h with 2h = x, ``split[t]`` is ``(c, t - reps[c])`` for the
+    class c of t, and each pair {g, -g} in 2G without 0 has one mask holding
+    the bits of g and -g."""
+    N = group.order
+    two_g = doubling_subgroup(group)
+    reps = [0] + [idx for idx in range(1, N) if group.order_of_index(idx) == 2]
+    assert len(reps) == 4 and not any(r in two_g for r in reps[1:])
+    split = []
+    for t in range(N):
+        (c,) = [c for c, r in enumerate(reps) if group.add_indices(t, group.neg_index(r)) in two_g]
+        split.append((c, group.add_indices(t, group.neg_index(reps[c]))))
+    halves = [[] for _ in range(N)]
+    for h in range(N):
+        halves[group.scale_index(2, h)].append(h)
+    pair_masks = {1 << g | 1 << group.neg_index(g) for g in two_g.indices() if g}
+    return halves, split, sorted(pair_masks)
+
+
+def _unweighted_odd_via_layout(group, idxs):
+    """A translate of the sequence splits evenly across the four classes
+    modulo doubled elements, taking one of each opposite pair within every
+    class, with the in-class parts summing to zero."""
+    n = _scope_n(TheoremId.UNWEIGHTED_ODD, group)
+    if not _is_squarefree_of_length(idxs, 2 * n + 2):
+        return False
+    add = group.add_table
+    sig = 0
+    for idx in idxs:
+        sig = add[sig][idx]
+    halves, split, pair_masks = _odd_layout(group)
+    for h in halves[sig]:
+        translate = add[group.neg_index(h)]
+        parts = [0, 0, 0, 0]  # in-class offsets of the translated terms, as bit masks
+        total = 0
+        for idx in idxs:
+            c, offset = split[translate[idx]]
+            parts[c] |= 1 << offset
+            total = add[total][offset]
+        if any(p.bit_count() != (n + 1) // 2 for p in parts):
+            continue
+        # one of each opposite pair: a pair both in or both out fails
+        if any((p & m) in (0, m) for p in parts for m in pair_masks):
+            continue
+        if total == 0:
+            return True
+    return False
+
+
+REFERENCES = {
+    TheoremId.C2C4_PM: _c2c4_pm_via_basis,
+    TheoremId.PM_GENERAL: _pm_general_via_basis,
+    TheoremId.UNWEIGHTED_EVEN: _unweighted_even_via_basis,
+    TheoremId.UNWEIGHTED_ODD: _unweighted_odd_via_layout,
+}
+
+
+def _oracle_bases(group):
+    # independent brute force: every ordered element pair with the right
+    # orders, explicit bijection test
+    found = []
+    for i in range(group.order):
+        if group.order_of_index(i) != 2:
+            continue
+        for j in range(group.order):
+            if group.order_of_index(j) != group.exponent:
+                continue
+            hit = set()
+            for a1 in range(2):
+                for a2 in range(group.exponent):
+                    x = group.add_indices(group.scale_index(a1, i), group.scale_index(a2, j))
+                    hit.add(x)
+            if len(hit) == group.order:
+                found.append((i, j))
+    return found
+
+
+def test_enumerate_bases_against_oracle():
+    for factors in [(2, 2), (2, 4), (2, 6)]:
+        g = GroupSpec(factors)
+        bases = enumerate_bases_2x2n(g)
+        assert [(b.e1.index, b.e2.index) for b in bases] == sorted(_oracle_bases(g))
+        for b in bases:
+            assert b.e1.order == 2
+            assert b.e2.order == g.exponent
+            # coords table inverts a1*e1 + a2*e2
+            for idx in range(g.order):
+                a1, a2 = b.coords[idx]
+                assert g.add_indices(g.scale_index(a1, b.e1.index), g.scale_index(a2, b.e2.index)) == idx
+
+
+def test_klein_group_has_six_bases():
+    assert len(enumerate_bases_2x2n(GroupSpec([2, 2]))) == 6
+
+
+def test_bases_rejects_wrong_shape():
+    with pytest.raises(ValueError):
+        enumerate_bases_2x2n(GroupSpec([8]))
+    with pytest.raises(ValueError):
+        enumerate_bases_2x2n(GroupSpec([4, 4]))
+
+
 def test_pm_general_coset_and_basis_forms_agree():
     # the coset-count form must match the literal per-basis split form everywhere
     g = parse_group("2,6")
@@ -241,6 +460,97 @@ def test_equal_groups_give_equal_verdicts():
         pm_verdicts.append(predicate_pm_general(b, idxs))
         assert predicate_pm_general(a, idxs) == pm_verdicts[-1] == _pm_general_via_basis(a, idxs), idxs
     assert set(odd_verdicts) == set(pm_verdicts) == {True, False}
+
+
+# Every candidate of a group, as ``verify`` sees them: the candidate length,
+# the number of candidates and of accepted ones (the census size).
+EXHAUSTIVE = [
+    (TheoremId.C2C4_PM, "2,4", 4, 70, 48),
+    (TheoremId.UNWEIGHTED_ODD, "2,6", 8, 495, 18),
+    (TheoremId.UNWEIGHTED_EVEN, "2,8", 9, 11_440, 4_896),
+    (TheoremId.UNWEIGHTED_ODD, "2,10", 12, 125_970, 260),
+]
+
+
+@pytest.mark.parametrize("theorem, spec, length, candidates, accepted", EXHAUSTIVE,
+                         ids=[f"{t.value}-{spec}" for t, spec, *_ in EXHAUSTIVE])
+def test_basis_free_form_matches_literal_reading_on_every_candidate(theorem, spec, length, candidates, accepted):
+    g = parse_group(spec)
+    predicate, reference = _PREDICATES[theorem], REFERENCES[theorem]
+    verdicts = []
+    for idxs in combinations(range(g.order), length):
+        verdicts.append(predicate(g, idxs))
+        assert verdicts[-1] == reference(g, idxs), idxs
+    assert (len(verdicts), sum(verdicts)) == (candidates, accepted)
+
+
+def _shape_of(theorem, g, rng):
+    """A random sequence of the theorem's shape, built from the paper's
+    description in the standard basis (1,0), (0,1)."""
+    n = g.shape_2x2n()
+    if theorem is TheoremId.PM_GENERAL:
+        # three of the four classes of G/2G, an odd number of terms in each
+        while True:
+            sizes = [rng.randrange(1, n + 1, 2) for _ in range(2)]
+            sizes.append(2 * n + 1 - sum(sizes))
+            if 1 <= sizes[2] <= n and sizes[2] % 2:
+                break
+        idxs = []
+        for c, k in zip(rng.sample(range(4), 3), sizes):
+            idxs += [g.index_of((c % 2, c // 2 + 2 * j)) for j in rng.sample(range(n), k)]
+        return tuple(idxs)
+    if theorem is TheoremId.UNWEIGHTED_EVEN:
+        # a uniform candidate the literal reading accepts (about half are)
+        while True:
+            idxs = tuple(rng.sample(range(g.order), 2 * n + 1))
+            if _unweighted_even_via_basis(g, idxs):
+                return idxs
+    # odd n: G[2] plus one of each other opposite pair {x, -x}, summing to
+    # zero, then translated by a random h
+    neg = g.scale_table[-1]
+    torsion = [x for x in range(g.order) if neg[x] == x]
+    pairs = sorted({min(x, neg[x]) for x in range(g.order) if neg[x] != x})
+    while True:
+        t = torsion + [rng.choice((x, neg[x])) for x in pairs]
+        total = 0
+        for x in t:
+            total = g.add_table[total][x]
+        if total == 0:
+            h = rng.randrange(g.order)
+            return tuple(g.add_table[x][h] for x in t)
+
+
+@pytest.mark.parametrize("theorem", [TheoremId.PM_GENERAL, TheoremId.UNWEIGHTED_EVEN, TheoremId.UNWEIGHTED_ODD],
+                         ids=lambda t: t.value)
+def test_basis_free_form_matches_literal_reading_on_generated_shapes(theorem):
+    # every in-scope C2 x C2n up to the order ceiling: shapes built from the
+    # paper's description, their images under x -> u*x + t for a unit u, and
+    # the shapes with one term swapped for an element outside them
+    predicate, reference = _PREDICATES[theorem], REFERENCES[theorem]
+    rng = random.Random(7)
+    verdicts = set()
+    for n in range(3, 17):
+        g = GroupSpec([2, 2 * n])
+        try:
+            _scope_n(theorem, g)
+        except HypothesisError:
+            continue
+        units = [u for u in range(1, 2 * n) if math.gcd(u, 2 * n) == 1]
+        for _ in range(12):
+            shape = _shape_of(theorem, g, rng)
+            assert reference(g, shape), (g, shape)
+            u, t = rng.choice(units), rng.randrange(g.order)
+            image = tuple(g.add_table[g.scale_index(u, x)][t] for x in shape)
+            tries = [shape, image]
+            for base in (shape, image):
+                swapped = list(base)
+                swapped[rng.randrange(len(base))] = rng.choice([x for x in range(g.order) if x not in base])
+                tries.append(tuple(swapped))
+            for idxs in tries:
+                verdict = predicate(g, idxs)
+                assert verdict == reference(g, idxs), (g, idxs)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # An accepted tuple per theorem, from the hand-built examples above.
