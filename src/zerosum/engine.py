@@ -36,6 +36,7 @@ from zerosum.groups import GroupSpec
 from zerosum.sequences import (
     Sequence,
     WeightSet,
+    negated_multiples,
     oracle_has_weighted_zero_of_length,
     oracle_has_weighted_zero_up_to,
     oracle_nonempty_subsums,
@@ -127,13 +128,18 @@ def _node_budget(node_budget: int | None) -> int:
 def _nonempty_engine(group: GroupSpec, weights: WeightSet, dead_mask: int):
     """The mask of nonempty weighted subsums as ``(0, push)``; a node is dead
     once its mask holds all of ``dead_mask``: bit 0 for a weighted zero-sum
-    (davenport), the full mask for sums covering G (critical)."""
+    (davenport), the full mask for sums covering G (critical).  A davenport
+    child g of a live node is dead exactly when some -w*g is a sum or 0, one
+    AND before the push; coverage has no such test."""
     translate = group.translate_bits
     scaled = weight_multiples(group, weights)
+    pre = negated_multiples(group, weights) if dead_mask == 1 else (0,) * group.order
 
     def push(ne: int, g: int, new_size: int):
-        new = ne
         with_empty = ne | 1  # translating the empty sum too adds each w*g itself
+        if with_empty & pre[g]:
+            return ne, True
+        new = ne
         for wg in scaled[g]:
             new |= translate(with_empty, wg)
         return new, new & dead_mask == dead_mask
@@ -393,7 +399,12 @@ def exists_failing_sequence(
     # a zero-sum longer than the sequence cannot occur, so no row above
     # ``length`` is ever needed
     zl = tuple(j for j in zl if j <= length)
-    init_state, push = subsum_kernel(group, weights, zl[-1] if zl else 0, zl)
+    cap = zl[-1] if zl else 0
+    if not squarefree:
+        # a failing multiset of length N*(cap-1) + 1 repeats some term cap
+        # times, and more copies of it leave rows 0..cap as they are
+        length = min(length, group.order * max(cap, 1) + 1)
+    init_state, push = subsum_kernel(group, weights, cap, zl)
     hits = _walk(universe, init_state, push, best=length - 1, cap=length, squarefree=squarefree,
                  collect=False, nodes=0, budget=node_budget)[2]
     return bool(hits)

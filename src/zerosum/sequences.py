@@ -4,8 +4,9 @@ A sequence is a finite multiset of group elements, stored as a multiplicity
 vector over the dense element index.  The central computation is the
 per-length weighted subsum table: row L holds every value w1*g1 + ... + wL*gL
 obtainable from a length-L subsequence with weights drawn from the weight
-set.  Rows are bit masks, so pushing one term into the table costs a few
-word operations per row.
+set.  Rows are bit masks packed into one int, row j at bit ``j*|G|``, so
+pushing one term costs a few word operations for the whole table, and one
+AND decides beforehand whether the term adds a forbidden zero-sum.
 
 ``weighted_length_sums_oracle`` recomputes the same data by enumerating all
 subsequences and weight assignments directly.  It is exponential and exists
@@ -20,7 +21,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
-from zerosum.groups import GroupElement, GroupSpec, SumSet
+from zerosum.groups import GroupElement, GroupSpec, SumSet, _replicate
 
 
 @dataclass(frozen=True)
@@ -263,46 +264,53 @@ def weight_multiples(group: GroupSpec, weights: WeightSet) -> tuple[tuple[int, .
 
 
 @lru_cache(maxsize=64)
-def _weight_ops(group: GroupSpec, weights: WeightSet):
-    """Per element g: the translation op lists for each distinct w*g."""
-    trans = group._translation_ops
+def negated_multiples(group: GroupSpec, weights: WeightSet) -> tuple[int, ...]:
+    """Per element g: the mask of ``{-w*g}``; sums A meet it exactly when some A + w*g holds 0."""
+    return tuple(sum(1 << group.neg_index(wg) for wg in row) for row in weight_multiples(group, weights))
+
+
+@lru_cache(maxsize=64)
+def _packed_ops(group: GroupSpec, weights: WeightSet, cap: int):
+    """Per element g: the translation ops of each distinct w*g, masks tiled over rows 0..cap-1."""
+    tile = _replicate(1, group.order, cap * group.order)
+    trans = tuple(tuple((m1 * tile, s1, m2 * tile, s2) for m1, s1, m2, s2 in ops)
+                  for ops in group._translation_ops)
     return tuple(tuple(trans[wg] for wg in row) for row in weight_multiples(group, weights))
 
 
 def subsum_kernel(group: GroupSpec, weights: WeightSet, cap: int, zero_lengths: tuple[int, ...] = ()):
-    """The per-length weighted subsum table as ``(init_rows, push)``.
+    """The per-length weighted subsum table as ``(init_word, push)``.
 
-    ``rows`` is a list of bit masks, rows 0..cap; ``push(rows, g, new_size)``
-    adds element g as term number ``new_size`` and returns the new rows plus
-    whether some row listed in ``zero_lengths`` (ascending) now contains
-    zero.  The input rows are never modified, so a search can keep them for
-    backtracking.
+    The state is one int: row j (rows 0..cap) is the N-bit mask at bit
+    ``j*N``, N = |G|.  ``push(word, g, new_size)`` adds element g as term
+    number ``new_size``, row j becoming row j | (row j-1 + w*g) for each w,
+    and returns the new word and False, or the input word and True when some
+    row listed in ``zero_lengths`` would contain zero.  Only live words, whose
+    zero_lengths rows hold no zero, may be pushed; then 0 enters row j exactly
+    when some -w*g lies in row j-1, so one AND decides a dead child before
+    its word is built.
     """
     if cap < 0:
         raise ValueError("table cap must be nonnegative")
-    ops_table = _weight_ops(group, weights)
+    N = group.order
+    ops_table = _packed_ops(group, weights, cap)
+    low = (1 << cap * N) - 1  # rows 0..cap-1, the ones a push translates
+    below_zero_rows = sum(1 << (j - 1) * N for j in set(zero_lengths) if j <= cap)
+    pre = tuple(k * below_zero_rows for k in negated_multiples(group, weights))
 
-    def push(rows: list[int], g: int, new_size: int):
-        hi = min(new_size, cap)
-        new = rows.copy()
-        for j in range(hi, 0, -1):
-            prev = rows[j - 1]
-            if prev:
-                acc = new[j]
-                for ops in ops_table[g]:
-                    x = prev
-                    for m1, s1, m2, s2 in ops:
-                        x = ((x & m1) << s1) | ((x & m2) >> s2)
-                    acc |= x
-                new[j] = acc
-        for j in zero_lengths:
-            if j > hi:
-                break
-            if new[j] & 1:
-                return new, True
-        return new, False
+    def push(word: int, g: int, new_size: int):
+        if word & pre[g]:
+            return word, True
+        x0 = word & low
+        acc = 0
+        for ops in ops_table[g]:
+            x = x0
+            for m1, s1, m2, s2 in ops:
+                x = ((x & m1) << s1) | ((x & m2) >> s2)
+            acc |= x
+        return word | (acc << N), False
 
-    return [1] + [0] * cap, push
+    return 1, push
 
 
 def weighted_sums(seq: Sequence, weights: WeightSet) -> SumSet:
@@ -330,10 +338,11 @@ class LengthSumTable:
 
 def length_sum_table(seq: Sequence, weights: WeightSet, cap: int) -> LengthSumTable:
     """Build rows 0..cap of the per-length weighted subsum table."""
-    rows, push = subsum_kernel(seq.group, weights, cap)
+    word, push = subsum_kernel(seq.group, weights, cap)
     for size, i in enumerate(seq.indices(), 1):
-        rows, _ = push(rows, i, size)
-    return LengthSumTable(seq.group, weights, cap, tuple(rows))
+        word, _ = push(word, i, size)
+    N, full = seq.group.order, seq.group.full_mask
+    return LengthSumTable(seq.group, weights, cap, tuple((word >> j * N) & full for j in range(cap + 1)))
 
 
 def has_weighted_zero_of_length(seq: Sequence, weights: WeightSet, length: int) -> bool:

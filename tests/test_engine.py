@@ -292,11 +292,19 @@ def test_nonempty_engine_matches_oracles(spec):
         _, critical_push = engine._nonempty_engine(g, w, g.full_mask)
         for _ in range(40):
             idxs = [rng.randrange(g.order) for _ in range(rng.randint(1, 5))]
-            state = init
+            # the critical push builds every mask; the davenport push decides
+            # a dead child before building it, so it runs up to its first dead push
+            state, zero = init, False
             for n, i in enumerate(idxs, 1):
-                new, zero = davenport_push(state, i, n)
-                covered = critical_push(state, i, n)[1]
-                state = new
+                if not zero:
+                    new, zero = davenport_push(state, i, n)
+                    prefix = Sequence.from_indices(g, idxs[:n])
+                    assert zero == oracle_has_weighted_zero_up_to(prefix, w, n), (spec, w, idxs[:n])
+                    if zero:
+                        assert new == state  # decided before the push
+                state, covered = critical_push(state, i, n)
+                if not zero:
+                    assert new == state
             seq = Sequence.from_indices(g, idxs)
             sums = set().union(*(weighted_length_sums_oracle(seq, w)[k] for k in range(1, len(idxs) + 1)))
             assert state == sum(1 << x for x in sums), (spec, w, idxs)
@@ -539,6 +547,39 @@ def test_exists_failing_sequence_refuses_bad_input():
     for length, mode in [(-1, "multiset"), (-1, "squarefree"), (7, "squarefre"), (0, "Multiset")]:
         with pytest.raises(SearchInputError):
             exists_failing_sequence(g, w, length, [1], mode=mode, node_budget=0)
+
+
+def test_exists_failing_sequence_on_long_multiset_lengths():
+    # without a 0 term nothing has a zero-sum of length 1, so any length
+    # fails; the walk used to recurse once per term and raise RecursionError
+    g, w = parse_group("6"), classic(6)
+    assert exists_failing_sequence(g, w, 5000, [1], node_budget=14) is True
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        exists_failing_sequence(g, w, 5000, [1], node_budget=13)
+    assert exc.value.nodes == 14
+    # past N*cap + 1 terms the answer no longer depends on the length: the
+    # same answers as brute force over every multiset on both sides of it
+    answers = set()
+    for spec in ("2", "3", "2,2"):
+        g = parse_group(spec)
+        e = g.exponent
+        for weights in (classic(e), pm(e)):
+            for zl in ([1], [2], [1, 2], [e], [2, e]):
+                clamp = g.order * max(zl) + 1
+                for length in range(clamp - 1, clamp + 3):
+                    found = []
+
+                    def visit(idxs):
+                        s = Sequence.from_indices(g, idxs)
+                        if not any(oracle_has_weighted_zero_of_length(s, weights, j) for j in zl):
+                            found.append(s)
+                            return False
+
+                    enumerate_multisets(g, length, length, visit)
+                    got = exists_failing_sequence(g, weights, length, zl)
+                    assert got == bool(found), (spec, weights, zl, length)
+                    answers.add(got)
+    assert answers == {True, False}
 
 
 def test_compute_constant_dispatch():

@@ -222,7 +222,13 @@ def test_length_sum_table_against_oracle_random_larger():
                     assert set(table.row(ln).indices()) == oracle[ln]
 
 
+def _unpack(g, word, cap):
+    """Rows 0..cap of a packed kernel word, each as a set of element indices."""
+    return [set(SumSet(g, (word >> j * g.order) & g.full_mask).indices()) for j in range(cap + 1)]
+
+
 def test_subsum_kernel_dead_flag_and_input_rows_kept():
+    # each stream ends at its first dead push: only live words are pushed
     rng = random.Random(43)
     for factors in [(2, 4), (6,), (3, 3)]:
         g = GroupSpec(factors)
@@ -230,16 +236,90 @@ def test_subsum_kernel_dead_flag_and_input_rows_kept():
             zero_lengths = (1, g.exponent)
             for _ in range(20):
                 stream = [rng.randrange(g.order) for _ in range(rng.randrange(1, 7))]
-                rows, push = subsum_kernel(g, w, g.exponent, zero_lengths)
+                word, push = subsum_kernel(g, w, g.exponent, zero_lengths)
                 for size, i in enumerate(stream, 1):
-                    before = list(rows)
-                    new, dead = push(rows, i, size)
-                    assert rows == before  # a search backtracks to the old rows
-                    rows = new
+                    before = word
+                    new, dead = push(word, i, size)
+                    assert word == before  # a search backtracks to the old word
                     oracle = weighted_length_sums_oracle(Sequence.from_indices(g, stream[:size]), w)
                     assert dead == any(0 in oracle.get(j, ()) for j in zero_lengths), (stream, size)
+                    if dead:
+                        assert new == word
+                        break
+                    word = new
+                    rows = _unpack(g, word, g.exponent)
                     for ln in range(min(size, g.exponent) + 1):
-                        assert set(SumSet(g, rows[ln]).indices()) == oracle[ln]
+                        assert rows[ln] == oracle[ln]
+
+
+# random zero-length sets: the engine's (exp,) and 1..exp, sets with gaps,
+# and lengths above the stream length or above the table cap.  Under pm every
+# row is closed under negation, so only the weight sets not closed under it
+# ({1,2} mod 4, {1,2,5} mod 6, {1,3} mod 8) tell a missing -w*g apart.
+KERNEL_CASES = [
+    ((2, 4), [1, 3]),
+    ((2, 4), [1, 2]),
+    ((6,), [1, 5, 2]),
+    ((8,), [1, 7]),
+    ((8,), [1, 3]),
+    ((3, 3), [1, 2]),
+    ((2, 2, 2), [1]),
+    ((2, 6), [1, 5]),
+]
+
+
+def _zero_length_sets(rng, e, cap):
+    return [(e,), tuple(range(1, e + 1)),
+            tuple(sorted(rng.sample(range(1, cap + 3), rng.randint(1, 3)))),
+            (cap,), (cap + 1,)]
+
+
+def _live_streams(rng, g):
+    """Yield ``(zero_lengths, cap, stream)`` over random caps and zero lengths."""
+    for _ in range(40):
+        cap = rng.randint(1, g.exponent + 2)
+        for zl in _zero_length_sets(rng, g.exponent, cap):
+            yield zl, cap, [rng.randrange(g.order) for _ in range(rng.randint(1, 7))]
+
+
+@pytest.mark.parametrize("factors,weights", KERNEL_CASES, ids=str)
+def test_packed_rows_of_every_live_state_match_oracle(factors, weights):
+    g = GroupSpec(factors)
+    w = WeightSet.of(g.exponent, weights)
+    rng = random.Random(f"packed rows {factors} {weights}")
+    states = 0
+    for zl, cap, stream in _live_streams(rng, g):
+        word, push = subsum_kernel(g, w, cap, zl)
+        assert _unpack(g, word, cap) == [{0}] + [set()] * cap
+        for size, i in enumerate(stream, 1):
+            word, dead = push(word, i, size)
+            if dead:
+                break
+            oracle = weighted_length_sums_oracle(Sequence.from_indices(g, stream[:size]), w)
+            assert _unpack(g, word, cap) == [oracle.get(ln, set()) for ln in range(cap + 1)], (zl, cap, stream, size)
+            states += 1
+    assert states >= 100
+
+
+@pytest.mark.parametrize("factors,weights", KERNEL_CASES, ids=str)
+def test_dead_verdict_of_one_and_matches_oracle(factors, weights):
+    g = GroupSpec(factors)
+    w = WeightSet.of(g.exponent, weights)
+    rng = random.Random(f"dead verdict {factors} {weights}")
+    verdicts = []
+    for zl, cap, stream in _live_streams(rng, g):
+        word, push = subsum_kernel(g, w, cap, zl)
+        for size, i in enumerate(stream, 1):
+            new, dead = push(word, i, size)
+            oracle = weighted_length_sums_oracle(Sequence.from_indices(g, stream[:size]), w)
+            # the table holds rows up to cap; a zero length above it is never hit
+            assert dead == any(0 in oracle.get(j, ()) for j in zl if j <= cap), (zl, cap, stream, size)
+            verdicts.append(dead)
+            if dead:
+                assert new == word
+                break
+            word = new
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 def test_has_weighted_zero_of_length():
