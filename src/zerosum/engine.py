@@ -13,20 +13,22 @@ and the critical number the mask of nonempty weighted subsums.  A node whose
 state shows a forbidden zero-sum, or sums covering G, is dead, and so is
 every extension, which is what keeps the walk far below the raw binomial
 counts.  A value search records each chain longer than the best so far, so
-its first chain of the maximal length is the colex-least witness.  The same
-walk with the length fixed lists every failing sequence of that length for a
-census.
+its first chain of the maximal length is the colex-least witness.  A census
+runs the same walk but keeps the chains that tie the best so far, starting
+over whenever the best grows, so at the end it holds every failing sequence
+of the maximal length, in colex order, with the witness first.
 
-Determinism contract: every search is one sequential walk whose nodes
-depend only on the search inputs.  Roots (topmost elements) go in element
-order, and one bound, the best length so far, carries from root to root.
-One node budget covers the value walk and the exact scan, and the walk stops
-at the first node past it, so node counts, witnesses and budget aborts are
+Determinism contract: every search, a census included, is one sequential
+walk whose nodes depend only on the search inputs.  Roots (topmost elements)
+go in element order, and one bound, the best length so far, carries from
+root to root.  One node budget covers the walk, and the walk stops at the
+first node past it, so node counts, witnesses and budget aborts are
 byte-stable across runs.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -151,38 +153,45 @@ def _nonempty_engine(group: GroupSpec, weights: WeightSet, dead_mask: int):
 
 
 def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
-          collect: bool, nodes: int, budget: int):
+          ties: bool, nodes: int, budget: int):
     """Walk every live chain, one topmost position after another.
 
     A chain is a run of positions into ``universe``, strictly decreasing when
     ``squarefree`` and nonincreasing otherwise, so chains come out in colex
     order.  The walk records the first chain longer than ``best`` each time
-    it finds one, and ``best`` carries over from one root to the next;
-    squarefree chains that cannot get longer than ``best`` are pruned.  A
-    chain of length ``cap`` is a hit: it is kept and not extended, and unless
-    ``collect`` is set the first hit ends the walk.
+    it finds one, and ``best`` carries over from one root to the next; a
+    chain of length ``cap`` sets ``best`` and ends the walk.  Squarefree
+    chains that cannot get longer than ``best`` are pruned, or with ``ties``
+    only those that cannot reach it.  With ``ties`` every live chain of
+    length ``best`` is a hit, and the hits start over whenever ``best``
+    grows.
 
     A value search starts at ``best = 0`` with a cap no failing chain can
-    reach; an exact scan for length L fixes ``best = L - 1`` and ``cap = L``,
-    which prunes every chain that cannot reach L.
+    reach, and with ``ties`` its final hits are the census: every live chain
+    of the longest length in colex order (the empty chain if none is
+    longer).  A probe for length L starts at ``best = L - 1`` with
+    ``cap = L`` and stops at the first chain that reaches L.
 
     ``nodes`` is the count used before this walk; the walk raises
     ``SearchBudgetExceeded`` at the first node that takes it past ``budget``.
+    It recurses once per term, so the recursion limit is raised by ``cap``
+    while it runs.
 
     Returns ``(length, witness, hits, nodes)``: the longest chain found with
     its length (the first, so colex-least; ``None`` if none beat ``best``),
-    the hits in colex order, and the node count including this walk.
+    the hits, and the node count including this walk.
     """
-    hits: list[tuple[int, ...]] = []
+    hits: list[tuple[int, ...]] = [()] if ties else []
     chain: list[int] = []
     best_chain = None
+    reach = 1 if ties else 0  # with ties a chain only has to reach best, not beat it
 
     def grow(state, size: int, children) -> bool:
         """Try each child position after the live chain; True ends the walk."""
-        nonlocal nodes, best, best_chain
+        nonlocal nodes, best, best_chain, hits
         n = size + 1
         for c in children:
-            if squarefree and c < best - size:
+            if squarefree and c < best - size - reach:
                 continue
             nodes += 1
             if nodes > budget:
@@ -191,20 +200,26 @@ def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
             if dead:
                 continue
             chain.append(c)
-            if n == cap:
+            if n > best:
+                best, best_chain = n, tuple(chain)
+                if ties:
+                    hits = [best_chain]
+                if n == cap:
+                    return True
+            elif ties and n == best:
                 hits.append(tuple(chain))
-                if not collect:
-                    return True
-            else:
-                if n > best:
-                    best, best_chain = n, tuple(chain)
-                below = range(max(0, best - n), c) if squarefree else range(c + 1)
-                if grow(new, n, below):
-                    return True
+            below = range(max(0, best - n - reach), c) if squarefree else range(c + 1)
+            if grow(new, n, below):
+                return True
             chain.pop()
         return False
 
-    grow(init_state, 0, range(len(universe)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + cap)
+    try:
+        grow(init_state, 0, range(len(universe)))
+    finally:
+        sys.setrecursionlimit(limit)
     return best, best_chain, hits, nodes
 
 
@@ -227,8 +242,9 @@ def _search_max_failing(
     node_budget: int,
     want_census: bool,
 ) -> MaxFailingResult:
-    """One value walk, then an exact scan when a census is wanted.
-    ``node_budget`` covers both."""
+    """One walk: the longest failing length and its colex-least witness, and
+    with ``want_census`` every failing sequence of that length, from the same
+    walk kept open for ties.  ``node_budget`` covers the walk."""
     squarefree = kind in (ConstantKind.HARBORTH, ConstantKind.CRITICAL)
     exp = group.exponent
     universe = tuple(range(1 if kind is ConstantKind.CRITICAL else 0, group.order))
@@ -241,24 +257,18 @@ def _search_max_failing(
         init_state, push = subsum_kernel(group, weights, exp, zl)
 
     # above every failing length: D(G) <= |G|, s(G) <= |G| + exp - 1, and a
-    # squarefree chain has at most |G| terms; a hit can only mean a bug
+    # squarefree chain has at most |G| terms; reaching it can only mean a bug
     cap = 4 * group.order + exp + 8
     length, chain, hits, nodes = _walk(universe, init_state, push, best=0, cap=cap,
-                                       squarefree=squarefree, collect=False,
+                                       squarefree=squarefree, ties=want_census,
                                        nodes=0, budget=node_budget)
-    _check(not hits, f"failing lengths for {kind.value} on {group} stay below {cap}")
+    _check(length < cap, f"failing lengths for {kind.value} on {group} stay below {cap}")
 
-    census: tuple[Sequence, ...] | None = None
-    if want_census and length == 0:
-        census = (Sequence.empty(group),)
-    elif want_census:
-        _, _, hits, nodes = _walk(universe, init_state, push, best=length - 1, cap=length,
-                                  squarefree=squarefree, collect=True,
-                                  nodes=nodes, budget=node_budget)
-        _check(bool(hits) and hits[0] == chain, "the census at the failing length starts with the witness")
-        census = tuple(Sequence.from_indices(group, [universe[p] for p in hit]) for hit in hits)
-    witness = Sequence.from_indices(group, [universe[p] for p in chain or ()])
-    return MaxFailingResult(length=length, witness=witness, nodes_visited=nodes, census=census)
+    def sequence(positions) -> Sequence:
+        return Sequence.from_indices(group, [universe[p] for p in positions])
+
+    census = tuple(sequence(hit) for hit in hits) if want_census else None
+    return MaxFailingResult(length=length, witness=sequence(chain or ()), nodes_visited=nodes, census=census)
 
 
 def _validate_witness(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, witness: Sequence) -> None:
@@ -405,6 +415,5 @@ def exists_failing_sequence(
         # times, and more copies of it leave rows 0..cap as they are
         length = min(length, group.order * max(cap, 1) + 1)
     init_state, push = subsum_kernel(group, weights, cap, zl)
-    hits = _walk(universe, init_state, push, best=length - 1, cap=length, squarefree=squarefree,
-                 collect=False, nodes=0, budget=node_budget)[2]
-    return bool(hits)
+    return _walk(universe, init_state, push, best=length - 1, cap=length, squarefree=squarefree,
+                 ties=False, nodes=0, budget=node_budget)[0] == length

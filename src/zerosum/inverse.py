@@ -31,7 +31,8 @@ from zerosum.sequences import (
     WeightSet,
     enumerate_squarefree,
     has_weighted_zero_of_length,
-    oracle_has_weighted_zero_of_length,
+    oracle_terms_have_zero_of_length,
+    subsum_kernel,
 )
 
 
@@ -72,10 +73,14 @@ _FULL_ORACLE_OP_LIMIT = 2_000_000
 
 
 def enumerate_extremal(group: GroupSpec, weights: WeightSet, **opts) -> ExtremalCensus:
-    """All squarefree sequences of the maximal failing length, re-validated
-    and sorted by their index tuples."""
+    """All squarefree sequences of the maximal failing length, sorted by their
+    index tuples and re-validated: each is squarefree of that length, and
+    neither a fresh subsum table nor (on every member while the cost allows,
+    else on eight spread over the census) the recursive oracle finds a
+    weighted zero-sum of length exp(G)."""
     report, census = failing_census(ConstantKind.HARBORTH, group, weights, **opts)
-    members = tuple(sorted(census, key=lambda s: s.indices()))
+    keyed = sorted(((s.indices(), s) for s in census), key=lambda pair: pair[0])
+    members = tuple(s for _, s in keyed)
     exp = group.exponent
     length = report.value - 1
     oracle_cost = comb(length, exp) * len(weights.classes) ** exp * exp if length >= exp else 0
@@ -83,12 +88,15 @@ def enumerate_extremal(group: GroupSpec, weights: WeightSet, **opts) -> Extremal
     sample = set(range(len(members))) if check_all else set(
         i * (len(members) - 1) // 7 for i in range(8)
     )
-    for i, s in enumerate(members):
+    empty, push = subsum_kernel(group, weights, exp)
+    top = exp * group.order  # bit 0 of row exp: a zero-sum of length exp
+    for i, (idxs, s) in enumerate(keyed):
         if not (s.is_squarefree and s.length == length):
             raise InternalCheckError(f"census member {s.literal()} is not squarefree of length {length}")
-        if has_weighted_zero_of_length(s, weights, exp) or (
-            i in sample and oracle_has_weighted_zero_of_length(s, weights, exp)
-        ):
+        word = empty
+        for size, idx in enumerate(idxs, 1):
+            word = push(word, idx, size)[0]
+        if word >> top & 1 or (i in sample and oracle_terms_have_zero_of_length(group, weights, idxs, exp)):
             raise InternalCheckError(f"census member {s.literal()} has a weighted zero-sum of length {exp}")
     return ExtremalCensus(
         group=group,

@@ -88,6 +88,12 @@ def weights_for(group: GroupSpec, spec: str) -> WeightSet:
     return WeightSet.parse(spec, group.exponent)
 
 
+@lru_cache(maxsize=64)
+def _term_literals(group: GroupSpec) -> tuple[str, ...]:
+    """Per element index: its coordinates as a literal term, ``(a,b)``."""
+    return tuple("(" + ",".join(str(c) for c in group.coords_of(i)) + ")" for i in range(group.order))
+
+
 @dataclass(frozen=True)
 class Sequence:
     """A finite multiset of elements of one group (order never matters)."""
@@ -198,14 +204,8 @@ class Sequence:
         return self.mult[int(member)]
 
     def literal(self) -> str:
-        parts = []
-        for i, m in enumerate(self.mult):
-            if not m:
-                continue
-            coords = self.group.coords_of(i)
-            term = "(" + ",".join(str(c) for c in coords) + ")"
-            parts.append(term if m == 1 else f"{term}^{m}")
-        return ";".join(parts)
+        terms = _term_literals(self.group)
+        return ";".join(terms[i] if m == 1 else f"{terms[i]}^{m}" for i, m in enumerate(self.mult) if m)
 
     # -- edits ---------------------------------------------------------------
 
@@ -386,21 +386,29 @@ def oracle_has_weighted_zero_of_length(seq: Sequence, weights: WeightSet, length
     recursion over weight assignments with no shared machinery."""
     if weights.modulus != seq.group.exponent:
         raise ValueError("weight modulus does not match the group exponent")
+    return oracle_terms_have_zero_of_length(seq.group, weights, seq.indices(), length)
+
+
+def oracle_terms_have_zero_of_length(group: GroupSpec, weights: WeightSet, terms: tuple[int, ...], length: int) -> bool:
+    """``oracle_has_weighted_zero_of_length`` over the terms as element
+    indices, reading the addition and scaling tables directly; the caller
+    checks the weight modulus."""
     if length == 0:
         return True
-    g = seq.group
-    terms = seq.indices()
-    scaled = [[g.scale_index(w, i) for w in weights.classes] for i in terms]
+    add = group.add_table
+    scaled = [[group.scale_table[w][i] for w in weights.classes] for i in terms]
+    count = len(terms)
 
     def rec(pos: int, left: int, acc: int) -> bool:
         if left == 0:
             return acc == 0
-        if len(terms) - pos < left:
+        if count - pos < left:
             return False
         if rec(pos + 1, left, acc):
             return True
+        row = add[acc]
         for s in scaled[pos]:
-            if rec(pos + 1, left - 1, g.add_indices(acc, s)):
+            if rec(pos + 1, left - 1, row[s]):
                 return True
         return False
 

@@ -1,5 +1,6 @@
 """Search engine checks: known small values, witness contracts, determinism."""
 
+import itertools
 import math
 import os
 import random
@@ -341,6 +342,47 @@ def test_witness_subsequences_also_fail():
         seq = seq.remove_index(seq.indices()[0])
 
 
+_CENSUS_CASES = [(kind, spec, wspec)
+                 for spec in ("2,2", "4", "6", "2,4", "3,3")
+                 for kind in ConstantKind
+                 for wspec in ((None,) if kind is ConstantKind.CRITICAL
+                               else ("classic",) if spec == "2,2" else ("classic", "pm"))]
+
+
+@pytest.mark.parametrize("kind, spec, wspec", _CENSUS_CASES)
+def test_census_matches_bruteforce(kind, spec, wspec):
+    # every failing set or multiset of the failing length, in colex order,
+    # listed and filtered by the recursive oracles alone
+    g = parse_group(spec)
+    w = WeightSet.parse(wspec, g.exponent) if wspec else None
+    e = g.exponent
+    fails = {
+        ConstantKind.HARBORTH: lambda s: not oracle_has_weighted_zero_of_length(s, w, e),
+        ConstantKind.EGZ: lambda s: not oracle_has_weighted_zero_of_length(s, w, e),
+        ConstantKind.ETA: lambda s: not oracle_has_weighted_zero_up_to(s, w, e),
+        ConstantKind.DAVENPORT: lambda s: not oracle_has_weighted_zero_up_to(s, w, s.length),
+        ConstantKind.CRITICAL: lambda s: oracle_nonempty_subsums(s) != set(range(g.order)),
+    }[kind]
+
+    def failing(length):
+        if kind is ConstantKind.CRITICAL:
+            streams = sorted(itertools.combinations(range(1, g.order), length), key=lambda t: t[::-1])
+        elif kind is ConstantKind.HARBORTH:
+            streams = sorted(itertools.combinations(range(g.order), length), key=lambda t: t[::-1])
+        else:
+            streams = []
+            enumerate_multisets(g, length, max(length, 1), streams.append)
+        seqs = (Sequence.from_indices(g, t) for t in streams)
+        return [s for s in seqs if fails(s)]
+
+    report, census = failing_census(kind, g, w)
+    length = report.value - 1
+    expected = failing(length)
+    assert list(census) == expected
+    assert report.witness == expected[0]
+    assert not failing(length + 1)
+
+
 def test_harborth_witness_is_squarefree_and_colex_least():
     g = parse_group("2,6")
     r = harborth(g, pm(6))
@@ -452,9 +494,10 @@ def test_budget_is_global_across_roots(budget, raised):
     (ConstantKind.CRITICAL, "2,2,2", None),
 ])
 def test_budget_counts_the_value_walk_and_the_census_scan(kind, spec, wspec, monkeypatch):
+    # the value and the census come from one walk, so the budget is one count
     g = parse_group(spec)
     w = WeightSet.parse(wspec, g.exponent) if wspec else None
-    ends = []  # the running node total after each walk: the value walk, then the census scan
+    ends = []  # the running node total after each walk
     walk = engine._walk
 
     def recording(*args, **kwargs):
@@ -465,14 +508,15 @@ def test_budget_counts_the_value_walk_and_the_census_scan(kind, spec, wspec, mon
     monkeypatch.setattr(engine, "_walk", recording)
     report, census = failing_census(kind, g, w)
     monkeypatch.undo()
-    assert len(ends) == 2 and ends[-1] == report.nodes_visited
-    # the last node of the value walk, the first node of the scan, the very last node
-    budgets = [ends[0] - 1, ends[0], ends[1] - 1]
-    for budget in budgets:
+    assert ends == [report.nodes_visited]
+    assert census[0] == report.witness
+    # the first node, a middle node, the very last node
+    total = ends[0]
+    for budget in (0, total // 2, total - 1):
         with pytest.raises(SearchBudgetExceeded) as exc:
             failing_census(kind, g, w, node_budget=budget)
         assert exc.value.nodes == budget + 1
-    again, again_census = failing_census(kind, g, w, node_budget=ends[-1])
+    again, again_census = failing_census(kind, g, w, node_budget=total)
     assert again.to_dict() == report.to_dict() and again_census == census
 
 
@@ -580,6 +624,14 @@ def test_exists_failing_sequence_on_long_multiset_lengths():
                     assert got == bool(found), (spec, weights, zl, length)
                     answers.add(got)
     assert answers == {True, False}
+
+
+def test_exists_failing_sequence_past_the_recursion_limit():
+    # the multiset clamp 64*16 + 1 = 1,025 terms is deeper than the default
+    # recursion limit; the walk raises the limit while it runs, then restores it
+    limit = sys.getrecursionlimit()
+    assert exists_failing_sequence(GroupSpec([64]), classic(64), 5000, [16]) is True
+    assert sys.getrecursionlimit() == limit
 
 
 def test_compute_constant_dispatch():

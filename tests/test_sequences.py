@@ -62,6 +62,31 @@ def test_sequence_parse_render_round_trip():
     assert Sequence.parse(c6, "").length == 0
 
 
+@pytest.mark.parametrize("dims", [[2, 8], [3, 6], [2, 2, 2]])
+def test_literal_matches_the_coordinate_formula(dims):
+    # every element, alone and repeated, and a mixed multiset on each run
+    g = GroupSpec(dims)
+
+    def formula(s):
+        parts = []
+        for i, m in enumerate(s.mult):
+            if m:
+                term = "(" + ",".join(str(c) for c in g.coords_of(i)) + ")"
+                parts.append(term if m == 1 else f"{term}^{m}")
+        return ";".join(parts)
+
+    rng = random.Random(7)
+    for i in range(g.order):
+        for m in (1, 2, 11):
+            s = Sequence.from_indices(g, [i] * m)
+            assert s.literal() == formula(s)
+        mult = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(g.order))
+        s = Sequence(g, mult)
+        assert s.literal() == formula(s)
+        assert Sequence.parse(g, s.literal()) == s
+    assert Sequence.empty(g).literal() == ""
+
+
 def test_sequence_parse_rejects_garbage():
     g = GroupSpec([2, 4])
     for bad in ["(1,3);;(0,2)", "(1)", "(0,4)", "(a,b)", "(1,1)^0", "(1,1)^x", "3"]:
