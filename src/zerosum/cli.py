@@ -4,8 +4,9 @@ Subcommands: ``compute`` one constant with a formula cross-check, ``enumerate``
 the extremal census one below it, ``verify`` a structure description against
 the census, ``table`` a family of groups row by row.
 
-Every search runs sequentially under one node budget (``--node-budget``,
-counted over the whole computation).
+Every search runs sequentially under a node budget (``--node-budget``):
+one budget covers the whole of ``compute``, ``enumerate`` or ``verify``,
+and ``table`` gives each row a budget of its own.
 
 Exit codes: 0 success or agreement, 2 a formula or census disagreement,
 3 node budget exceeded, 64 bad command line (including unknown flags) or
@@ -49,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_run_flags(p):
     p.add_argument("--output", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--node-budget", type=int, help="abort the search past this many nodes in all")
+    p.add_argument("--node-budget", type=int, help="abort a search past this many nodes (in table, per row)")
     p.add_argument("--perf", action="store_true", help="include wall time in reports")
 
 

@@ -220,6 +220,9 @@ def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
         grow(init_state, 0, range(len(universe)))
     finally:
         sys.setrecursionlimit(limit)
+        # grow reaches itself through its closure; breaking the cycle frees
+        # the walk's state now, not at some later cyclic collection
+        grow = None
     return best, best_chain, hits, nodes
 
 
@@ -231,7 +234,7 @@ class MaxFailingResult:
     length: int
     witness: Sequence
     nodes_visited: int
-    census: tuple[Sequence, ...] | None = None
+    census: tuple[tuple[int, ...], ...] | None = None  # ascending index tuples
 
 
 def _search_max_failing(
@@ -243,8 +246,9 @@ def _search_max_failing(
     want_census: bool,
 ) -> MaxFailingResult:
     """One walk: the longest failing length and its colex-least witness, and
-    with ``want_census`` every failing sequence of that length, from the same
-    walk kept open for ties.  ``node_budget`` covers the walk."""
+    with ``want_census`` every failing sequence of that length as an
+    ascending index tuple, in colex order, from the same walk kept open for
+    ties.  ``node_budget`` covers the walk."""
     squarefree = kind in (ConstantKind.HARBORTH, ConstantKind.CRITICAL)
     exp = group.exponent
     universe = tuple(range(1 if kind is ConstantKind.CRITICAL else 0, group.order))
@@ -264,15 +268,19 @@ def _search_max_failing(
                                        nodes=0, budget=node_budget)
     _check(length < cap, f"failing lengths for {kind.value} on {group} stay below {cap}")
 
-    def sequence(positions) -> Sequence:
-        return Sequence.from_indices(group, [universe[p] for p in positions])
-
-    census = tuple(sequence(hit) for hit in hits) if want_census else None
-    return MaxFailingResult(length=length, witness=sequence(chain or ()), nodes_visited=nodes, census=census)
+    census = None
+    if want_census:
+        # a chain runs from its topmost position down, so reversed it ascends;
+        # each hit is replaced in place, so one copy of the census is live
+        for i, hit in enumerate(hits):
+            hits[i] = tuple(universe[p] for p in reversed(hit))
+        census = tuple(hits)
+    witness = Sequence.from_indices(group, [universe[p] for p in chain or ()])
+    return MaxFailingResult(length=length, witness=witness, nodes_visited=nodes, census=census)
 
 
 def _validate_witness(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, witness: Sequence) -> None:
-    """Re-check the witness through the recursive oracle, never the tables."""
+    """Re-check the witness through the independent oracles, never the kernel."""
     if kind is ConstantKind.CRITICAL:
         _check(witness.is_squarefree and witness.multiplicity(0) == 0,
                "critical witness is a zero-free set")
@@ -371,13 +379,23 @@ def compute_constant(kind: ConstantKind, group: GroupSpec, weights: WeightSet | 
     return _compute(kind, group, weights, **opts)[0]
 
 
-def failing_census(
+def failing_census_indices(
     kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, **opts
-) -> tuple[SearchReport, tuple[Sequence, ...]]:
-    """The report plus every failing sequence of the maximal failing length."""
+) -> tuple[SearchReport, tuple[tuple[int, ...], ...]]:
+    """The report plus every failing sequence of the maximal failing length,
+    each as its ascending tuple of element indices, in colex order."""
     report, census = _compute(kind, group, weights, want_census=True, **opts)
     _check(census is not None, "a census search returns a census")
     return report, census
+
+
+def failing_census(
+    kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, **opts
+) -> tuple[SearchReport, tuple[Sequence, ...]]:
+    """The report plus every failing sequence of the maximal failing length,
+    in colex order."""
+    report, census = failing_census_indices(kind, group, weights, **opts)
+    return report, tuple(Sequence.from_indices(group, idxs) for idxs in census)
 
 
 def exists_failing_sequence(

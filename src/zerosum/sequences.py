@@ -11,7 +11,9 @@ AND decides beforehand whether the term adds a forbidden zero-sum.
 ``weighted_length_sums_oracle`` recomputes the same data by enumerating all
 subsequences and weight assignments directly.  It is exponential and exists
 so the table (and every search built on it) can be checked against an
-implementation that shares no machinery with it.
+implementation that shares no machinery with it, and so do the ``oracle_*``
+functions (for one weight class, by subsets of the smaller side of each
+kept/dropped split).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from math import comb
 from typing import Callable, Iterable, Iterator
 
 from zerosum.groups import GroupElement, GroupSpec, SumSet, _replicate
@@ -382,8 +385,9 @@ def weighted_length_sums_oracle(seq: Sequence, weights: WeightSet) -> dict[int, 
 
 
 def oracle_has_weighted_zero_of_length(seq: Sequence, weights: WeightSet, length: int) -> bool:
-    """Same question as has_weighted_zero_of_length, answered by direct
-    recursion over weight assignments with no shared machinery."""
+    """Same question as has_weighted_zero_of_length, answered with no shared
+    machinery: by subset enumeration for a single weight class, else by
+    direct recursion over weight assignments."""
     if weights.modulus != seq.group.exponent:
         raise ValueError("weight modulus does not match the group exponent")
     return oracle_terms_have_zero_of_length(seq.group, weights, seq.indices(), length)
@@ -392,12 +396,37 @@ def oracle_has_weighted_zero_of_length(seq: Sequence, weights: WeightSet, length
 def oracle_terms_have_zero_of_length(group: GroupSpec, weights: WeightSet, terms: tuple[int, ...], length: int) -> bool:
     """``oracle_has_weighted_zero_of_length`` over the terms as element
     indices, reading the addition and scaling tables directly; the caller
-    checks the weight modulus."""
+    checks the weight modulus.
+
+    With one weight class w, a kept subset K has the single weighted sum
+    w*sigma(K) = w*sigma(S) - w*sigma(D), D the dropped terms, so it is 0
+    exactly when w*sigma(D) = w*sigma(S); the oracle lists the combinations
+    of whichever side is smaller, min(length, count - length) terms.
+    Several classes take the recursion over weight assignments.
+    ``oracle_ops`` estimates the cost of either.
+    """
+    count = len(terms)
     if length == 0:
         return True
+    if length > count:
+        return False
     add = group.add_table
+    if len(weights.classes) == 1:
+        times_w = group.scale_table[weights.classes[0]]
+        side, target = length, 0
+        if length > count - length:
+            total = 0
+            for t in terms:
+                total = add[total][t]
+            side, target = count - length, times_w[total]
+        for subset in combinations(terms, side):
+            acc = 0
+            for t in subset:
+                acc = add[acc][t]
+            if times_w[acc] == target:
+                return True
+        return False
     scaled = [[group.scale_table[w][i] for w in weights.classes] for i in terms]
-    count = len(terms)
 
     def rec(pos: int, left: int, acc: int) -> bool:
         if left == 0:
@@ -413,6 +442,17 @@ def oracle_terms_have_zero_of_length(group: GroupSpec, weights: WeightSet, terms
         return False
 
     return rec(0, length, 0)
+
+
+def oracle_ops(weights: WeightSet, count: int, length: int) -> int:
+    """About how many table reads ``oracle_terms_have_zero_of_length`` makes
+    on ``count`` terms when no zero-sum stops it early."""
+    if not 0 < length <= count:
+        return 0
+    if len(weights.classes) == 1:
+        side = min(length, count - length)
+        return comb(count, side) * side
+    return comb(count, length) * len(weights.classes) ** length * length
 
 
 def oracle_has_weighted_zero_up_to(seq: Sequence, weights: WeightSet, maxlen: int) -> bool:

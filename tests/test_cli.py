@@ -259,6 +259,18 @@ def test_table_budget_cell_does_not_fail_run(capsys):
     assert "BUDGET" in out
 
 
+def test_table_budget_is_per_row(capsys):
+    # each row fits 10,500 nodes (2,8 takes 10,474) while the four together take 11,504
+    code, out, _ = run(capsys, "table", "--family", "2,2n", "--range", "1:4",
+                       "--kind", "harborth", "--weights", "pm",
+                       "--node-budget", "10500", "--output", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    nodes = [r["nodes_visited"] for r in rows]
+    assert not any(r["budget_exceeded"] for r in rows)
+    assert max(nodes) <= 10_500 < sum(nodes) == 11_504
+
+
 def test_table_csv_columns(capsys):
     code, out, _ = run(capsys, "table", "--family", "n", "--range", "3:5",
                        "--kind", "harborth", "--weights", "classic",

@@ -1,5 +1,6 @@
 """Search engine checks: known small values, witness contracts, determinism."""
 
+import gc
 import itertools
 import math
 import os
@@ -136,7 +137,7 @@ def test_trivial_weights_collapse():
     assert davenport(g, w).witness.length == 0
 
 
-# -- cross-checks against the recursive oracle ------------------------------------
+# -- cross-checks against the independent oracles ---------------------------------
 
 
 def _colex_multisets(limit, size, max_mult):
@@ -352,7 +353,7 @@ _CENSUS_CASES = [(kind, spec, wspec)
 @pytest.mark.parametrize("kind, spec, wspec", _CENSUS_CASES)
 def test_census_matches_bruteforce(kind, spec, wspec):
     # every failing set or multiset of the failing length, in colex order,
-    # listed and filtered by the recursive oracles alone
+    # listed and filtered by the independent oracles alone
     g = parse_group(spec)
     w = WeightSet.parse(wspec, g.exponent) if wspec else None
     e = g.exponent
@@ -632,6 +633,19 @@ def test_exists_failing_sequence_past_the_recursion_limit():
     limit = sys.getrecursionlimit()
     assert exists_failing_sequence(GroupSpec([64]), classic(64), 5000, [16]) is True
     assert sys.getrecursionlimit() == limit
+
+
+def test_a_census_walk_leaves_no_garbage_cycle():
+    # the walk's closure refers to itself; unless the walk breaks that cycle,
+    # its hits stay alive until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        report, census = engine.failing_census_indices(ConstantKind.HARBORTH, parse_group("2,8"), classic(8))
+        assert len(census) == 4896
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_compute_constant_dispatch():

@@ -2,12 +2,15 @@
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
+from zerosum import inverse
+from zerosum.engine import ConstantKind, InternalCheckError
 from zerosum.groups import GroupElement, GroupSpec, doubling_subgroup, parse_group
 from zerosum.inverse import (
     HypothesisError,
@@ -55,6 +58,7 @@ def test_census_c2c4_pm():
     assert len(census.members) == 48
     idx = [m.indices() for m in census.members]
     assert idx == sorted(idx)
+    assert census.member_indices == tuple(idx)
     assert len(set(idx)) == len(idx)
     assert all(m.length == 4 and m.is_squarefree for m in census.members)
 
@@ -80,6 +84,69 @@ def test_census_to_dict():
 def test_census_sizes_frozen():
     assert len(enumerate_extremal(parse_group("2,6"), pm(6)).members) == 36
     assert len(enumerate_extremal(parse_group("2,6"), classic(6)).members) == 18
+
+
+def _bad_member(group, weights, census, how):
+    """``(member, bad)``: a mid-census member and a non-member made from it
+    by changing its last term, to one that closes a weighted zero-sum of
+    length exp(G), to a repeat of the term before it, or by dropping it."""
+    members = set(census)
+    order = sorted(census)
+    for idxs in order[len(order) // 2:]:
+        head = idxs[:-1]
+        if how == "repeated index":
+            return idxs, head + (head[-1],)
+        if how == "wrong length":
+            return idxs, head
+        for x in range(head[-1] + 1, group.order):
+            bad = head + (x,)
+            if bad not in members and oracle_has_weighted_zero_of_length(
+                    Sequence.from_indices(group, bad), weights, group.exponent):
+                return idxs, bad
+    raise AssertionError("no zero-sum variant of a mid-census member")
+
+
+@pytest.mark.parametrize("how", ["zero-sum", "repeated index", "wrong length"])
+@pytest.mark.parametrize("spec, wspec", [("2,6", "pm"), ("2,8", "classic")])
+def test_prefix_shared_recheck_catches_a_bad_member(spec, wspec, how, monkeypatch):
+    g = parse_group(spec)
+    w = WeightSet.parse(wspec, g.exponent)
+    report, census = inverse.failing_census(ConstantKind.HARBORTH, g, w)
+    member, bad = _bad_member(g, w, census, how)
+    corrupted = tuple(bad if idxs == member else idxs for idxs in census)
+    order = sorted(corrupted)
+    at = order.index(bad)
+    # mid-census, after a member that shares a prefix with it, so the check
+    # reuses words pushed for that member
+    assert 0 < at < len(order) - 1 and order[at - 1][:2] == bad[:2]
+    monkeypatch.setattr(inverse, "failing_census", lambda *args, **opts: (report, corrupted))
+    # with the oracle off, the kernel re-check alone has to catch a zero-sum
+    monkeypatch.setattr(inverse, "oracle_terms_have_zero_of_length", lambda *args: False)
+    name = re.escape(Sequence.from_indices(g, bad).literal())
+    with pytest.raises(InternalCheckError, match=f"census member {name} (is not|has)"):
+        enumerate_extremal(g, w)
+
+
+@pytest.mark.parametrize("spec, wspec, size, sampled", [("2,8", "classic", 4896, None), ("2,10", "pm", 1260, 8)])
+def test_oracle_sample_rule(spec, wspec, size, sampled, monkeypatch):
+    """The oracle checks every member while its cost allows, else eight
+    spread over the sorted census."""
+    g = parse_group(spec)
+    w = WeightSet.parse(wspec, g.exponent)
+    seen = []
+    real = inverse.oracle_terms_have_zero_of_length
+
+    def spy(group, weights, terms, length):
+        seen.append(tuple(terms))
+        return real(group, weights, terms, length)
+
+    monkeypatch.setattr(inverse, "oracle_terms_have_zero_of_length", spy)
+    idxs = [m.indices() for m in enumerate_extremal(g, w).members]
+    assert len(idxs) == size
+    if sampled is None:
+        assert seen == idxs
+    else:
+        assert seen == [idxs[i * (size - 1) // (sampled - 1)] for i in range(sampled)]
 
 
 # -- characterization agreement ----------------------------------------------------

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from zerosum import sequences
 from zerosum.groups import GroupSpec, SumSet
 from zerosum.sequences import (
     LengthSumTable,
@@ -16,6 +17,8 @@ from zerosum.sequences import (
     oracle_has_weighted_zero_of_length,
     oracle_has_weighted_zero_up_to,
     oracle_nonempty_subsums,
+    oracle_ops,
+    oracle_terms_have_zero_of_length,
     sigma,
     subsum_kernel,
     subsums_sigma0,
@@ -420,6 +423,53 @@ def test_recursive_oracles_match_full_enumeration():
             for cap in range(seq.length + 1):
                 expect = any(0 in table[ln] for ln in range(1, cap + 1))
                 assert oracle_has_weighted_zero_up_to(seq, w, cap) == expect
+
+
+@pytest.mark.parametrize("factors", [[7], [8], [2, 6], [3, 3], [2, 2, 2]], ids=str)
+def test_single_weight_oracle_matches_full_enumeration(factors):
+    """Every weight class, zero and non-units included, on multisets with
+    repeated terms; lengths up to one past the count reach both the kept
+    side (length <= count - length) and the dropped side."""
+    g = GroupSpec(factors)
+    rng = random.Random(sum(factors) * 31 + len(factors))
+    sides = set()
+    for w in range(g.exponent):
+        ws = WeightSet.of(g.exponent, [w])
+        for _ in range(12):
+            count = rng.randint(0, 8)
+            pool = rng.sample(range(g.order), rng.randint(1, 3))  # few values, so terms repeat
+            terms = tuple(sorted(rng.choice(pool) for _ in range(count)))
+            table = weighted_length_sums_oracle(Sequence.from_indices(g, terms), ws)
+            for length in range(count + 2):
+                want = 0 in table.get(length, ())
+                assert oracle_terms_have_zero_of_length(g, ws, terms, length) == want, (w, terms, length)
+                if 0 < length <= count:
+                    sides.add(length <= count - length)
+    assert sides == {True, False}
+
+
+def test_oracle_takes_the_complement_for_one_class_and_recursion_for_several(monkeypatch):
+    g = GroupSpec([2, 8])
+    terms = (1, 2, 3, 5, 8, 9, 12, 14, 15)
+    sides = []
+
+    def spy(items, r):
+        sides.append(r)
+        return combinations(items, r)
+
+    monkeypatch.setattr(sequences, "combinations", spy)
+    for ws in (WeightSet.plus_minus(8), WeightSet.of(8, [1, 3, 5, 7])):
+        for length in range(len(terms) + 2):
+            oracle_terms_have_zero_of_length(g, ws, terms, length)
+    assert sides == []
+    for length in (2, 7, 8):  # kept side 2; dropped sides 9 - 7 and 9 - 8
+        oracle_terms_have_zero_of_length(g, WeightSet.classic(8), terms, length)
+    assert sides == [2, 2, 1]
+    # the cost estimate follows the same choice
+    assert oracle_ops(WeightSet.classic(8), 9, 8) == 9
+    assert oracle_ops(WeightSet.classic(8), 9, 4) == math.comb(9, 4) * 4
+    assert oracle_ops(WeightSet.plus_minus(8), 9, 8) == 9 * 2 ** 8 * 8
+    assert oracle_ops(WeightSet.classic(8), 9, 10) == oracle_ops(WeightSet.classic(8), 9, 0) == 0
 
 
 def test_oracle_nonempty_subsums_examples():
