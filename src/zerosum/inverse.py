@@ -5,10 +5,14 @@ what the longest failing sequences look like.  This module enumerates the
 complete census of maximal failing squarefree sequences and checks it against
 structural descriptions of them: shape predicates that claim to characterize
 the census for particular group families and weight sets.  A verification
-run builds both sides independently, search on one side and the predicate
-filter over every candidate index tuple on the other, and reports the
-symmetric difference.  Each theorem's group scope is written once, in
-``_SCOPES``; the hypothesis check and the predicates both read it.
+run checks each census member with the theorem's predicate, and counts the
+sequences of the theorem's shape exactly, with no listing and no search
+(``_shape_count``).  Census members are distinct, so when every member
+passes and the count equals the census size, the census is the predicate's
+set.  Only when they disagree does the run filter every candidate index
+tuple through the predicate, to name the sequences that only the predicate
+accepts.  Each theorem's group scope is written once, in ``_SCOPES``; the
+hypothesis check, the predicates and the counts all read it.
 
 The paper states its shapes over C2 x C2n "for some basis (e1, e2)".  None
 of them depends on the basis, so each predicate is a basis-free statement
@@ -20,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import comb
 
 from zerosum.engine import ConstantKind, InternalCheckError
 # bound under the engine's census name, which the benchmark's span recorder wraps
@@ -55,9 +60,13 @@ class ExtremalCensus:
     group: GroupSpec
     weights: WeightSet
     value: int
-    members: tuple[Sequence, ...]
     nodes_visited: int
     member_indices: tuple[tuple[int, ...], ...]  # each member's ascending element indices
+
+    @cached_property
+    def members(self) -> tuple[Sequence, ...]:
+        """Each member as a ``Sequence``, built on first use."""
+        return tuple(Sequence.from_indices(self.group, idxs) for idxs in self.member_indices)
 
     def to_dict(self) -> dict:
         return {
@@ -66,7 +75,7 @@ class ExtremalCensus:
             "group": self.group.spec_string,
             "weights": list(self.weights.classes),
             "value": self.value,
-            "count": len(self.members),
+            "count": len(self.member_indices),
             "members": [s.literal() for s in self.members],
             "nodes_visited": self.nodes_visited,
         }
@@ -101,10 +110,10 @@ def enumerate_extremal(group: GroupSpec, weights: WeightSet, **opts) -> Extremal
     top = exp * group.order  # bit 0 of row exp: a zero-sum of length exp
     words = [empty] * (length + 1)  # words[j]: the word after the previous member's first j terms
     previous: tuple[int, ...] = ()
-    members = tuple(Sequence.from_indices(group, idxs) for idxs in census)
-    for i, (idxs, s) in enumerate(zip(census, members)):
+    for i, idxs in enumerate(census):
         if not _is_squarefree_of_length(idxs, length):
-            raise InternalCheckError(f"census member {s.literal()} is not squarefree of length {length}")
+            literal = Sequence.from_indices(group, idxs).literal()
+            raise InternalCheckError(f"census member {literal} is not squarefree of length {length}")
         shared = 0
         for a, b in zip(previous, idxs):
             if a != b:
@@ -113,13 +122,13 @@ def enumerate_extremal(group: GroupSpec, weights: WeightSet, **opts) -> Extremal
         for j in range(shared, length):
             words[j + 1] = push(words[j], idxs[j], j + 1)[0]
         if words[length] >> top & 1 or (i in sample and oracle_terms_have_zero_of_length(group, weights, idxs, exp)):
-            raise InternalCheckError(f"census member {s.literal()} has a weighted zero-sum of length {exp}")
+            literal = Sequence.from_indices(group, idxs).literal()
+            raise InternalCheckError(f"census member {literal} has a weighted zero-sum of length {exp}")
         previous = idxs
     return ExtremalCensus(
         group=group,
         weights=weights,
         value=report.value,
-        members=members,
         nodes_visited=report.nodes_visited,
         member_indices=census,
     )
@@ -320,35 +329,132 @@ class CharacterizationReport:
         }
 
 
+def _shape_count(theorem: TheoremId, group: GroupSpec, length: int) -> int:
+    """The number of squarefree sequences of the length that the theorem's
+    predicate accepts, counted without listing them and without the search.
+
+    N = |G|, L is the length, and the four classes of G/2G have n elements
+    each.  A length other than the theorem's has no shapes.
+
+    - c2c4-pm (L = 4) and pm-general (L = 2n + 1): choose the class the
+      support misses, then a, b, c terms of the other three, each from 1 to
+      n, with a + b + c = L:  4 * sum C(n,a) C(n,b) C(n,c).  pm-general asks
+      a, b and c to be odd as well.
+    - unweighted-even (L = 2n + 1): sigma(S) lies in S exactly when
+      S = {s} + T with sigma(T) = 0 and s not in T; then s = sigma(S), so
+      each such S splits one way.  The count is C(N, L) - (N - L + 1) * Z,
+      Z the number of (L - 1)-subsets of G with sum 0 (a DP by size and
+      sum).
+    - unweighted-odd (L = 2n + 2): for each sig in 2G, the four halves of
+      sig plus one element of each of the other 2n - 2 pairs {x, sig - x},
+      with sum sig (a DP over the pairs on the running sum).
+    - full-group (L = N): the one sequence holding every element.
+    """
+    order = group.order
+    if theorem is TheoremId.FULL_GROUP:
+        return int(length == order)
+    n = _scope_n(theorem, group)
+    shape_length = {
+        TheoremId.C2C4_PM: 4,
+        TheoremId.PM_GENERAL: 2 * n + 1,
+        TheoremId.UNWEIGHTED_EVEN: 2 * n + 1,
+        TheoremId.UNWEIGHTED_ODD: 2 * n + 2,
+    }[theorem]
+    if length != shape_length:
+        return 0
+    add = group.add_table
+    if theorem in (TheoremId.C2C4_PM, TheoremId.PM_GENERAL):
+        odd = theorem is TheoremId.PM_GENERAL
+        # ways[a]: a terms from one class, a >= 1 (and odd for pm-general)
+        ways = [comb(n, a) if a and (a % 2 or not odd) else 0 for a in range(n + 1)]
+        return 4 * sum(
+            ways[a] * ways[b] * ways[length - a - b]
+            for a in range(n + 1) for b in range(n + 1) if 0 <= length - a - b <= n
+        )
+    if theorem is TheoremId.UNWEIGHTED_EVEN:
+        # by_sum[k][x]: the k-subsets of the elements seen so far with sum x
+        by_sum = [[0] * order for _ in range(length)]
+        by_sum[0][0] = 1
+        for g in range(order):
+            row = add[g]
+            for k in range(min(g + 1, length - 1), 0, -1):
+                below, here = by_sum[k - 1], by_sum[k]
+                for x, subsets in enumerate(below):
+                    if subsets:
+                        here[row[x]] += subsets
+        return comb(order, length) - (order - length + 1) * by_sum[length - 1][0]
+    total = 0
+    for sig in range(order):
+        halves = [h for h in range(order) if add[h][h] == sig]
+        if not halves:
+            continue
+        start = 0
+        for h in halves:
+            start = add[start][h]
+        by_sum = [0] * order  # by_sum[x]: choices from the pairs so far with running sum x
+        by_sum[start] = 1
+        used = set(halves)
+        for x in range(order):
+            if x in used:
+                continue
+            y = add[x].index(sig)  # the y with x + y = sig
+            used.update((x, y))
+            step = [0] * order
+            for acc, choices in enumerate(by_sum):
+                if choices:
+                    step[add[acc][x]] += choices
+                    step[add[acc][y]] += choices
+            by_sum = step
+        total += by_sum[sig]
+    return total
+
+
 def verify_characterization(
     theorem: TheoremId,
     group: GroupSpec,
     weights: WeightSet | None = None,
     **opts,
 ) -> CharacterizationReport:
-    """Compare the searched census with the predicate filter, member by member."""
+    """Compare the searched census with the theorem's shapes.
+
+    Every census member goes through the predicate, and ``_shape_count``
+    counts the shapes.  When every member passes and the count equals the
+    census size, the two sets are equal and nothing is enumerated.
+    Otherwise the predicate filters every squarefree candidate of the census
+    length, to list the shapes the census lacks; a filter whose size differs
+    from the count raises ``InternalCheckError``, since then the count or a
+    predicate is wrong."""
     w = check_theorem_hypotheses(theorem, group, weights)
     census = enumerate_extremal(group, w, **opts)
     predicate = _PREDICATES[theorem]
-    matched: set[tuple[int, ...]] = set()
+    members = census.member_indices
+    length = census.value - 1
+    rejected = [idxs for idxs in members if not predicate(group, idxs)]
+    count = _shape_count(theorem, group, length)
+    extra: list[tuple[int, ...]] = []
+    if rejected or count != len(members):
+        matched: set[tuple[int, ...]] = set()
 
-    def visit(idxs):
-        if predicate(group, idxs):
-            matched.add(idxs)
+        def visit(idxs):
+            if predicate(group, idxs):
+                matched.add(idxs)
 
-    enumerate_squarefree(group, census.value - 1, visit)
-    members = dict(zip(census.member_indices, census.members))
-    only_census = tuple(s for idxs, s in members.items() if idxs not in matched)
-    only_predicate = tuple(Sequence.from_indices(group, idxs) for idxs in sorted(matched - members.keys()))
+        enumerate_squarefree(group, length, visit)
+        if len(matched) != count:
+            raise InternalCheckError(
+                f"{theorem.value} on {group.spec_string}: the predicate accepts {len(matched)} "
+                f"sequences of length {length}, the shape count is {count}"
+            )
+        extra = sorted(matched.difference(members))
     return CharacterizationReport(
         theorem=theorem,
         group=group,
         weights=w,
         value=census.value,
-        census_size=len(census.members),
-        predicate_size=len(matched),
-        only_in_census=only_census,
-        only_in_predicate=only_predicate,
+        census_size=len(members),
+        predicate_size=count,
+        only_in_census=tuple(Sequence.from_indices(group, idxs) for idxs in rejected),
+        only_in_predicate=tuple(Sequence.from_indices(group, idxs) for idxs in extra),
         nodes_visited=census.nodes_visited,
     )
 

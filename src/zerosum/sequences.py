@@ -441,7 +441,10 @@ def oracle_terms_have_zero_of_length(group: GroupSpec, weights: WeightSet, terms
                 return True
         return False
 
-    return rec(0, length, 0)
+    try:
+        return rec(0, length, 0)
+    finally:
+        rec = None  # rec reaches itself through its closure; free it now
 
 
 def oracle_ops(weights: WeightSet, count: int, length: int) -> int:
@@ -476,7 +479,10 @@ def oracle_has_weighted_zero_up_to(seq: Sequence, weights: WeightSet, maxlen: in
                 return True
         return False
 
-    return rec(0, 0, 0)
+    try:
+        return rec(0, 0, 0)
+    finally:
+        rec = None  # rec reaches itself through its closure; free it now
 
 
 def oracle_nonempty_subsums(seq: Sequence) -> set[int]:

@@ -35,6 +35,7 @@ from zerosum.sequences import (
     oracle_has_weighted_zero_of_length,
     oracle_has_weighted_zero_up_to,
     oracle_nonempty_subsums,
+    oracle_terms_have_zero_of_length,
     weighted_length_sums_oracle,
 )
 
@@ -643,6 +644,24 @@ def test_a_census_walk_leaves_no_garbage_cycle():
     try:
         report, census = engine.failing_census_indices(ConstantKind.HARBORTH, parse_group("2,8"), classic(8))
         assert len(census) == 4896
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_oracle_calls_leave_no_garbage_cycle():
+    # the recursive oracles' closures refer to themselves; each call has to
+    # break that cycle, or every witness check and sampled census member
+    # leaves garbage for the cyclic collector
+    g = parse_group("2,10")
+    member = engine.failing_census_indices(ConstantKind.HARBORTH, g, pm(10))[1][0]
+    gc.collect()
+    gc.disable()
+    try:
+        assert compute_constant(ConstantKind.ETA, parse_group("2,6"), classic(6)).value == 8
+        assert compute_constant(ConstantKind.DAVENPORT, parse_group("2,6"), classic(6)).value == 7
+        for _ in range(20):
+            assert not oracle_terms_have_zero_of_length(g, pm(10), member, 10)
         assert gc.collect() == 0
     finally:
         gc.enable()

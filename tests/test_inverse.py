@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from zerosum import inverse
+from zerosum import cli, inverse
 from zerosum.engine import ConstantKind, InternalCheckError
 from zerosum.groups import GroupElement, GroupSpec, doubling_subgroup, parse_group
 from zerosum.inverse import (
@@ -26,7 +26,7 @@ from zerosum.inverse import (
     verify_characterization,
     weights_for_theorem,
 )
-from zerosum.inverse import _PREDICATES, _is_squarefree_of_length, _scope_n
+from zerosum.inverse import _PREDICATES, _is_squarefree_of_length, _scope_n, _shape_count
 from zerosum.sequences import (
     Sequence,
     WeightSet,
@@ -192,6 +192,111 @@ def test_report_to_dict():
     assert d["agree"] is True
     assert d["only_in_census"] == []
     assert d["only_in_predicate"] == []
+
+
+# -- shape counts and the disagreement path -----------------------------------------
+
+# Every in-scope group with n <= 5, and the full-group cases: the filter over
+# every candidate of the census length is the reference for the count.
+COUNTED = [
+    (TheoremId.C2C4_PM, "2,4", 4),
+    (TheoremId.PM_GENERAL, "2,6", 7),
+    (TheoremId.PM_GENERAL, "2,8", 9),
+    (TheoremId.PM_GENERAL, "2,10", 11),
+    (TheoremId.UNWEIGHTED_EVEN, "2,8", 9),
+    (TheoremId.UNWEIGHTED_ODD, "2,6", 8),
+    (TheoremId.UNWEIGHTED_ODD, "2,10", 12),
+    (TheoremId.FULL_GROUP, "2,2", 4),
+    (TheoremId.FULL_GROUP, "6", 6),
+]
+
+
+@pytest.mark.parametrize("theorem, spec, length", COUNTED, ids=[f"{t.value}-{spec}" for t, spec, _ in COUNTED])
+def test_shape_count_equals_the_filter(theorem, spec, length):
+    g = parse_group(spec)
+    predicate = _PREDICATES[theorem]
+    accepted = 0
+
+    def visit(idxs):
+        nonlocal accepted
+        accepted += predicate(g, idxs)
+
+    enumerate_squarefree(g, length, visit)
+    assert accepted > 0
+    assert _shape_count(theorem, g, length) == accepted
+    # the predicates accept no other length, so neither does the count
+    assert _shape_count(theorem, g, length - 1) == _shape_count(theorem, g, length + 1) == 0
+
+
+def test_shape_count_at_2_12_equals_the_census_size():
+    g = parse_group("2,12")
+    assert _shape_count(TheoremId.PM_GENERAL, g, 13) == 8_640
+    assert _shape_count(TheoremId.UNWEIGHTED_EVEN, g, 13) == 1_142_640
+
+
+def _patch_theorem(monkeypatch, accepts, count_shift):
+    """Make pm-general's predicate ``accepts(g, idxs, verdict)`` and shift its
+    shape count by ``count_shift``; a theorem that is wrong about the census
+    still has a count that matches its own predicate, so both move together."""
+    real, real_count = _PREDICATES[TheoremId.PM_GENERAL], inverse._shape_count
+    monkeypatch.setitem(_PREDICATES, TheoremId.PM_GENERAL,
+                        lambda g, idxs: accepts(g, idxs, real(g, idxs)))
+    monkeypatch.setattr(inverse, "_shape_count",
+                        lambda *args: real_count(*args) + count_shift)
+
+
+def test_a_rejected_member_is_only_in_census(monkeypatch, capsys):
+    g = parse_group("2,8")
+    members = enumerate_extremal(g, pm(8)).member_indices
+    victim = members[len(members) // 2]
+    _patch_theorem(monkeypatch, lambda g, idxs, verdict: verdict and idxs != victim, -1)
+    r = verify_characterization(TheoremId.PM_GENERAL, g)
+    assert not r.agree
+    assert r.only_in_census == (Sequence.from_indices(g, victim),)
+    assert r.only_in_predicate == ()
+    assert (r.census_size, r.predicate_size) == (256, 255)
+    assert cli.main(["verify", "--group", "2,8", "--theorem", "pm-general"]) == 2
+    out = capsys.readouterr().out
+    assert "verdict: DISAGREE" in out
+    assert f"only in census: {Sequence.from_indices(g, victim).literal()}" in out
+
+
+def test_an_extra_shape_is_only_in_predicate(monkeypatch):
+    g = parse_group("2,8")
+    members = set(enumerate_extremal(g, pm(8)).member_indices)
+    extra = next(idxs for idxs in combinations(range(g.order), 9) if idxs not in members)
+    _patch_theorem(monkeypatch, lambda g, idxs, verdict: verdict or idxs == extra, 1)
+    r = verify_characterization(TheoremId.PM_GENERAL, g)
+    assert not r.agree
+    assert r.only_in_census == ()
+    assert r.only_in_predicate == (Sequence.from_indices(g, extra),)
+    assert (r.census_size, r.predicate_size) == (256, 257)
+
+
+@pytest.mark.parametrize("count_shift, rejects_one", [(1, False), (-1, False), (0, True)],
+                         ids=["count-too-high", "count-too-low", "predicate-off-its-count"])
+def test_a_count_the_filter_contradicts_raises(monkeypatch, count_shift, rejects_one):
+    g = parse_group("2,8")
+    first = enumerate_extremal(g, pm(8)).member_indices[0]
+    _patch_theorem(monkeypatch, lambda g, idxs, verdict: verdict and not (rejects_one and idxs == first),
+                   count_shift)
+    with pytest.raises(InternalCheckError, match="pm-general on 2,8: the predicate accepts"):
+        verify_characterization(TheoremId.PM_GENERAL, g)
+
+
+def test_an_agreeing_verify_lists_no_candidates_and_builds_no_members(monkeypatch):
+    def no_filter(*args):
+        raise AssertionError("an agreeing verify must not filter the candidates")
+
+    built = []
+    real = Sequence.from_indices.__func__
+    monkeypatch.setattr(inverse, "enumerate_squarefree", no_filter)
+    monkeypatch.setattr(Sequence, "from_indices",
+                        classmethod(lambda cls, group, idxs: built.append(idxs) or real(cls, group, idxs)))
+    r = verify_characterization(TheoremId.UNWEIGHTED_EVEN, parse_group("2,8"))
+    assert r.agree
+    assert r.census_size == r.predicate_size == 4_896
+    assert len(built) <= 1  # the search report's witness
 
 
 # -- structure predicates on hand-built sequences -----------------------------------
