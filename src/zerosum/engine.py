@@ -12,7 +12,11 @@ weighted subsum table (the kernel in ``zerosum.sequences``), or for davenport
 and the critical number the mask of nonempty weighted subsums.  A node whose
 state shows a forbidden zero-sum, or sums covering G, is dead, and so is
 every extension, which is what keeps the walk far below the raw binomial
-counts.  A value search records each chain longer than the best so far, so
+counts.  A live davenport or critical chain of length n also ends no longer
+than n + N - 1 - |ne|, N = |G| and ne its nonempty sums, since each further
+term adds a nonzero sum or (critical) lies in the stabiliser of the final
+sums (``_nonempty_engine``), so a chain with no room to beat the best is not
+extended.  A value search records each chain longer than the best so far, so
 its first chain of the maximal length is the colex-least witness.  A census
 runs the same walk but keeps the chains that tie the best so far, starting
 over whenever the best grows, so at the end it holds every failing sequence
@@ -128,32 +132,51 @@ def _node_budget(node_budget: int | None) -> int:
 
 
 def _nonempty_engine(group: GroupSpec, weights: WeightSet, dead_mask: int):
-    """The mask of nonempty weighted subsums as ``(0, push)``; a node is dead
-    once its mask holds all of ``dead_mask``: bit 0 for a weighted zero-sum
-    (davenport), the full mask for sums covering G (critical).  A davenport
-    child g of a live node is dead exactly when some -w*g is a sum or 0, one
-    AND before the push; coverage has no such test."""
+    """The mask of nonempty weighted subsums as ``(0, push, room)``.
+
+    ``push(ne, g)`` returns the mask with g added, or ``None`` once it holds
+    all of ``dead_mask``: bit 0 for a weighted zero-sum (davenport), the full
+    mask for sums covering G (critical).  A davenport child g of a live node
+    is dead exactly when some -w*g is a sum or 0, one AND before the push;
+    coverage has no such test.
+
+    ``room(ne) = N - 1 - |ne|``, N = |G|, bounds how many terms a live chain
+    can still gain; this holds for every weight set.
+      Davenport: if T = S*g has no weighted zero-sum, then with
+      A0 = sums(S) | {0} and any w, A0 + w*g lies in sums(T), which avoids 0,
+      so each term adds a nonzero sum and at most N - 1 - |ne| follow.
+      Critical (classic weights, distinct nonzero terms, 0 may be a sum):
+      A = ne | {0} grows as A -> A + {0, g}, and a term that does not grow A
+      lies in Stab(A), hence in the stabiliser H of the final A.  If the
+      final A is not G, at most N - |H| - |A| terms grow A and at most
+      |H| - 1 lie in H; if it is G, 0 is never a sum and the davenport
+      argument applies.  Either way at most N - 1 - |ne| terms follow.
+    """
     translate = group.translate_bits
     scaled = weight_multiples(group, weights)
     pre = negated_multiples(group, weights) if dead_mask == 1 else (0,) * group.order
+    top = group.order - 1
 
-    def push(ne: int, g: int, new_size: int):
+    def push(ne: int, g: int):
         with_empty = ne | 1  # translating the empty sum too adds each w*g itself
         if with_empty & pre[g]:
-            return ne, True
+            return None
         new = ne
         for wg in scaled[g]:
             new |= translate(with_empty, wg)
-        return new, new & dead_mask == dead_mask
+        return None if new & dead_mask == dead_mask else new
 
-    return 0, push
+    def room(ne: int) -> int:
+        return top - ne.bit_count()
+
+    return 0, push, room
 
 
 # -- the walker -------------------------------------------------------------------
 
 
 def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
-          ties: bool, nodes: int, budget: int):
+          ties: bool, nodes: int, budget: int, room=None):
     """Walk every live chain, one topmost position after another.
 
     A chain is a run of positions into ``universe``, strictly decreasing when
@@ -162,9 +185,12 @@ def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
     it finds one, and ``best`` carries over from one root to the next; a
     chain of length ``cap`` sets ``best`` and ends the walk.  Squarefree
     chains that cannot get longer than ``best`` are pruned, or with ``ties``
-    only those that cannot reach it.  With ``ties`` every live chain of
-    length ``best`` is a hit, and the hits start over whenever ``best``
-    grows.
+    only those that cannot reach it.  So is a live chain of length n with
+    ``n + room(state)`` below that, when ``room`` bounds how many terms a
+    chain can still gain (``_nonempty_engine`` gives it for davenport and the
+    critical number): it is counted as a node and recorded, not extended.
+    With ``ties`` every live chain of length ``best`` is a hit, and the hits
+    start over whenever ``best`` grows.
 
     A value search starts at ``best = 0`` with a cap no failing chain can
     reach, and with ``ties`` its final hits are the census: every live chain
@@ -196,8 +222,8 @@ def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(nodes, budget)
-            new, dead = push(state, universe[c], n)
-            if dead:
+            new = push(state, universe[c])
+            if new is None:
                 continue
             chain.append(c)
             if n > best:
@@ -208,9 +234,10 @@ def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
                     return True
             elif ties and n == best:
                 hits.append(tuple(chain))
-            below = range(max(0, best - n - reach), c) if squarefree else range(c + 1)
-            if grow(new, n, below):
-                return True
+            if room is None or n + room(new) >= best + 1 - reach:
+                below = range(max(0, best - n - reach), c) if squarefree else range(c + 1)
+                if grow(new, n, below):
+                    return True
             chain.pop()
         return False
 
@@ -252,10 +279,11 @@ def _search_max_failing(
     squarefree = kind in (ConstantKind.HARBORTH, ConstantKind.CRITICAL)
     exp = group.exponent
     universe = tuple(range(1 if kind is ConstantKind.CRITICAL else 0, group.order))
+    room = None
     if kind is ConstantKind.CRITICAL:
-        init_state, push = _nonempty_engine(group, WeightSet.classic(exp), group.full_mask)
+        init_state, push, room = _nonempty_engine(group, WeightSet.classic(exp), group.full_mask)
     elif kind is ConstantKind.DAVENPORT:
-        init_state, push = _nonempty_engine(group, weights, 1)
+        init_state, push, room = _nonempty_engine(group, weights, 1)
     else:
         zl = tuple(range(1, exp + 1)) if kind is ConstantKind.ETA else (exp,)
         init_state, push = subsum_kernel(group, weights, exp, zl)
@@ -265,7 +293,7 @@ def _search_max_failing(
     cap = 4 * group.order + exp + 8
     length, chain, hits, nodes = _walk(universe, init_state, push, best=0, cap=cap,
                                        squarefree=squarefree, ties=want_census,
-                                       nodes=0, budget=node_budget)
+                                       nodes=0, budget=node_budget, room=room)
     _check(length < cap, f"failing lengths for {kind.value} on {group} stay below {cap}")
 
     census = None

@@ -120,7 +120,7 @@ def enumerate_extremal(group: GroupSpec, weights: WeightSet, **opts) -> Extremal
                 break
             shared += 1
         for j in range(shared, length):
-            words[j + 1] = push(words[j], idxs[j], j + 1)[0]
+            words[j + 1] = push(words[j], idxs[j])
         if words[length] >> top & 1 or (i in sample and oracle_terms_have_zero_of_length(group, weights, idxs, exp)):
             literal = Sequence.from_indices(group, idxs).literal()
             raise InternalCheckError(f"census member {literal} has a weighted zero-sum of length {exp}")
@@ -152,8 +152,12 @@ _SCOPES = {
 }
 
 
+@lru_cache(maxsize=64)
 def _scope_n(theorem: TheoremId, group: GroupSpec) -> int:
-    """The n of C2 x C2n when the group lies in the theorem's scope."""
+    """The n of C2 x C2n when the group lies in the theorem's scope.
+
+    Memoised, since every predicate call asks again; a group outside the
+    scope is not cached and raises on every call."""
     what, holds = _SCOPES[theorem]
     n = group.shape_2x2n()
     if n is None or not holds(n):

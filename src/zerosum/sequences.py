@@ -285,13 +285,12 @@ def subsum_kernel(group: GroupSpec, weights: WeightSet, cap: int, zero_lengths: 
     """The per-length weighted subsum table as ``(init_word, push)``.
 
     The state is one int: row j (rows 0..cap) is the N-bit mask at bit
-    ``j*N``, N = |G|.  ``push(word, g, new_size)`` adds element g as term
-    number ``new_size``, row j becoming row j | (row j-1 + w*g) for each w,
-    and returns the new word and False, or the input word and True when some
-    row listed in ``zero_lengths`` would contain zero.  Only live words, whose
-    zero_lengths rows hold no zero, may be pushed; then 0 enters row j exactly
-    when some -w*g lies in row j-1, so one AND decides a dead child before
-    its word is built.
+    ``j*N``, N = |G|.  ``push(word, g)`` adds element g as one more term,
+    row j becoming row j | (row j-1 + w*g) for each w, and returns the new
+    word, or ``None`` when some row listed in ``zero_lengths`` would contain
+    zero.  Only live words, whose zero_lengths rows hold no zero, may be
+    pushed; then 0 enters row j exactly when some -w*g lies in row j-1, so
+    one AND decides a dead child before its word is built.
     """
     if cap < 0:
         raise ValueError("table cap must be nonnegative")
@@ -301,9 +300,9 @@ def subsum_kernel(group: GroupSpec, weights: WeightSet, cap: int, zero_lengths: 
     below_zero_rows = sum(1 << (j - 1) * N for j in set(zero_lengths) if j <= cap)
     pre = tuple(k * below_zero_rows for k in negated_multiples(group, weights))
 
-    def push(word: int, g: int, new_size: int):
+    def push(word: int, g: int):
         if word & pre[g]:
-            return word, True
+            return None
         x0 = word & low
         acc = 0
         for ops in ops_table[g]:
@@ -311,7 +310,7 @@ def subsum_kernel(group: GroupSpec, weights: WeightSet, cap: int, zero_lengths: 
             for m1, s1, m2, s2 in ops:
                 x = ((x & m1) << s1) | ((x & m2) >> s2)
             acc |= x
-        return word | (acc << N), False
+        return word | (acc << N)
 
     return 1, push
 
@@ -342,8 +341,8 @@ class LengthSumTable:
 def length_sum_table(seq: Sequence, weights: WeightSet, cap: int) -> LengthSumTable:
     """Build rows 0..cap of the per-length weighted subsum table."""
     word, push = subsum_kernel(seq.group, weights, cap)
-    for size, i in enumerate(seq.indices(), 1):
-        word, _ = push(word, i, size)
+    for i in seq.indices():
+        word = push(word, i)
     N, full = seq.group.order, seq.group.full_mask
     return LengthSumTable(seq.group, weights, cap, tuple((word >> j * N) & full for j in range(cap + 1)))
 

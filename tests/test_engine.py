@@ -1,5 +1,6 @@
 """Search engine checks: known small values, witness contracts, determinism."""
 
+import functools
 import gc
 import itertools
 import math
@@ -291,21 +292,23 @@ def test_nonempty_engine_matches_oracles(spec):
     weight_sets = [pm(e), classic(e), WeightSet.of(e, [1, 2]), WeightSet.of(e, [2]), WeightSet.of(e, [0, 1])]
     rng = random.Random(f"nonempty {spec}")
     for w in weight_sets:
-        init, davenport_push = engine._nonempty_engine(g, w, 1)
-        _, critical_push = engine._nonempty_engine(g, w, g.full_mask)
+        init, davenport_push, _ = engine._nonempty_engine(g, w, 1)
+        _, critical_push, _ = engine._nonempty_engine(g, w, g.full_mask)
         for _ in range(40):
             idxs = [rng.randrange(g.order) for _ in range(rng.randint(1, 5))]
-            # the critical push builds every mask; the davenport push decides
-            # a dead child before building it, so it runs up to its first dead push
+            # the critical push returns every mask short of G, so a covered
+            # state is the full mask; the davenport push decides a dead child
+            # before building it, so it runs up to its first dead push
             state, zero = init, False
             for n, i in enumerate(idxs, 1):
                 if not zero:
-                    new, zero = davenport_push(state, i, n)
+                    new = davenport_push(state, i)
+                    zero = new is None
                     prefix = Sequence.from_indices(g, idxs[:n])
                     assert zero == oracle_has_weighted_zero_up_to(prefix, w, n), (spec, w, idxs[:n])
-                    if zero:
-                        assert new == state  # decided before the push
-                state, covered = critical_push(state, i, n)
+                pushed = critical_push(state, i)
+                covered = pushed is None
+                state = g.full_mask if covered else pushed
                 if not zero:
                     assert new == state
             seq = Sequence.from_indices(g, idxs)
@@ -315,6 +318,54 @@ def test_nonempty_engine_matches_oracles(spec):
             assert covered == (len(sums) == g.order), (spec, w, idxs)
             if w == classic(e):
                 assert sums == oracle_nonempty_subsums(seq), (spec, idxs)
+
+
+@pytest.mark.parametrize("spec", ["6", "7", "8", "2,4", "2,6", "2,2,2", "3,3"])
+def test_room_bounds_every_failing_extension(spec):
+    # the room of every reachable live state is at least the longest failing
+    # extension, found here by set arithmetic and subset listing alone; it is
+    # attained somewhere, so a room one smaller would fail
+    g = parse_group(spec)
+    e = g.exponent
+    tight = 0
+    for w in [pm(e), classic(e)] + ([WeightSet.of(e, [1, 2])] if e > 2 else []):
+        init, push, room = engine._nonempty_engine(g, w, 1)
+        scaled = [{g.scale_index(k, t) for k in w.classes} for t in range(g.order)]
+
+        @functools.cache
+        def longest(sums):
+            # a term t adds each w*t and each a + w*t; a zero among them fails
+            best = 0
+            for t in range(g.order):
+                new = sums | scaled[t] | {g.add_indices(a, b) for a in sums for b in scaled[t]}
+                if 0 not in new:
+                    best = max(best, 1 + longest(frozenset(new)))
+            return best
+
+        seen, stack = set(), [init]
+        while stack:
+            state = stack.pop()
+            if state in seen:
+                continue
+            seen.add(state)
+            bound = longest(frozenset(i for i in range(g.order) if state >> i & 1))
+            assert room(state) >= bound, (spec, w, state)
+            tight += room(state) == bound
+            stack.extend(new for t in range(g.order) if (new := push(state, t)) is not None)
+
+    # critical: distinct nonzero terms, so an extension is a superset
+    init, push, room = engine._nonempty_engine(g, classic(e), g.full_mask)
+    full = set(range(g.order))
+    sets = [frozenset(c) for k in range(g.order) for c in itertools.combinations(range(1, g.order), k)]
+    live = [t for t in sets if oracle_nonempty_subsums(Sequence.from_indices(g, sorted(t))) != full]
+    for t in live:
+        state = init
+        for i in sorted(t):
+            state = push(state, i)
+        bound = max(len(u) - len(t) for u in live if t <= u)
+        assert room(state) >= bound, (spec, sorted(t))
+        tight += room(state) == bound
+    assert tight > 0, spec
 
 
 # -- witness contracts -------------------------------------------------------------
@@ -344,11 +395,14 @@ def test_witness_subsequences_also_fail():
         seq = seq.remove_index(seq.indices()[0])
 
 
+# 8 and 2,2,2 only for the nonempty-sum kinds, whose walks prune by room;
+# a critical set on 2,2,2 can have 0 among its sums (the stabiliser case)
 _CENSUS_CASES = [(kind, spec, wspec)
-                 for spec in ("2,2", "4", "6", "2,4", "3,3")
+                 for spec in ("2,2", "4", "6", "2,4", "3,3", "8", "2,2,2")
                  for kind in ConstantKind
+                 if spec not in ("8", "2,2,2") or kind in (ConstantKind.DAVENPORT, ConstantKind.CRITICAL)
                  for wspec in ((None,) if kind is ConstantKind.CRITICAL
-                               else ("classic",) if spec == "2,2" else ("classic", "pm"))]
+                               else ("classic",) if spec in ("2,2", "2,2,2") else ("classic", "pm"))]
 
 
 @pytest.mark.parametrize("kind, spec, wspec", _CENSUS_CASES)
@@ -449,7 +503,7 @@ def test_witness_check_survives_python_O():
 def test_cap_overrun_is_an_internal_error(monkeypatch):
     # a push that is never dead lets chains grow past every failing length
     def never_dead(group, weights, cap, zero_lengths):
-        return 0, lambda state, g, new_size: (state, False)
+        return 0, lambda state, g: state
 
     monkeypatch.setattr(engine, "subsum_kernel", never_dead)
     with pytest.raises(engine.InternalCheckError, match="stay below"):
@@ -462,6 +516,19 @@ def test_value_search_is_one_walk():
     assert r.value == 16
     assert r.nodes_visited == 98_302
     assert r.witness == Sequence.full_squarefree(parse_group("2,2,2,2")).remove_index(0)
+
+
+def test_room_bound_prunes_nonempty_sum_walks():
+    # a chain whose sums leave no room to beat the best is not extended;
+    # without the room bound these walks took 535,715 and 309,570 nodes
+    g = parse_group("2,12")
+    r = davenport(g, classic(12))
+    assert (r.value, r.witness.literal(), r.nodes_visited) == (13, "(1,0);(0,1)^11", 140_509)
+    g = parse_group("4,8")
+    r = critical_number(g)
+    assert (r.value, r.nodes_visited) == (16, 85_186)
+    assert r.witness == Sequence.from_indices(g, [g.index_of((x, y)) for y in (0, 2, 4, 6) for x in range(4)
+                                                  if (x, y) != (0, 0)])
 
 
 # -- node budget ---------------------------------------------------------------------

@@ -299,6 +299,23 @@ def test_an_agreeing_verify_lists_no_candidates_and_builds_no_members(monkeypatc
     assert len(built) <= 1  # the search report's witness
 
 
+def test_scope_is_looked_up_once_per_theorem_and_group(monkeypatch):
+    # the predicates reuse the scope verify has checked, not one lookup per
+    # member; a group outside the scope raises the same error on every call
+    calls = []
+    real = GroupSpec.shape_2x2n
+    monkeypatch.setattr(GroupSpec, "shape_2x2n", lambda self: calls.append(self) or real(self))
+    _scope_n.cache_clear()
+    r = verify_characterization(TheoremId.UNWEIGHTED_EVEN, parse_group("2,8"))
+    assert r.agree and r.census_size == 4_896
+    assert len(calls) == 1
+    g = parse_group("2,6")
+    for _ in range(2):
+        with pytest.raises(HypothesisError, match=r"^unweighted-even needs C2 x C2n with even n >= 4, got C2 x C6$"):
+            predicate_unweighted_even(g, (0, 1, 2))
+    assert len(calls) == 3
+
+
 # -- structure predicates on hand-built sequences -----------------------------------
 # Each positive example is double-checked against the subset oracle: the predicate
 # accepts exactly the sequences with no weighted zero-sum subsequence of length exp.

@@ -267,12 +267,12 @@ def test_subsum_kernel_dead_flag_and_input_rows_kept():
                 word, push = subsum_kernel(g, w, g.exponent, zero_lengths)
                 for size, i in enumerate(stream, 1):
                     before = word
-                    new, dead = push(word, i, size)
+                    new = push(word, i)
                     assert word == before  # a search backtracks to the old word
                     oracle = weighted_length_sums_oracle(Sequence.from_indices(g, stream[:size]), w)
-                    assert dead == any(0 in oracle.get(j, ()) for j in zero_lengths), (stream, size)
+                    dead = any(0 in oracle.get(j, ()) for j in zero_lengths)
+                    assert (new is None) == dead, (stream, size)  # a dead push returns None
                     if dead:
-                        assert new == word
                         break
                     word = new
                     rows = _unpack(g, word, g.exponent)
@@ -320,9 +320,10 @@ def test_packed_rows_of_every_live_state_match_oracle(factors, weights):
         word, push = subsum_kernel(g, w, cap, zl)
         assert _unpack(g, word, cap) == [{0}] + [set()] * cap
         for size, i in enumerate(stream, 1):
-            word, dead = push(word, i, size)
-            if dead:
+            new = push(word, i)
+            if new is None:
                 break
+            word = new
             oracle = weighted_length_sums_oracle(Sequence.from_indices(g, stream[:size]), w)
             assert _unpack(g, word, cap) == [oracle.get(ln, set()) for ln in range(cap + 1)], (zl, cap, stream, size)
             states += 1
@@ -338,13 +339,13 @@ def test_dead_verdict_of_one_and_matches_oracle(factors, weights):
     for zl, cap, stream in _live_streams(rng, g):
         word, push = subsum_kernel(g, w, cap, zl)
         for size, i in enumerate(stream, 1):
-            new, dead = push(word, i, size)
+            new = push(word, i)
             oracle = weighted_length_sums_oracle(Sequence.from_indices(g, stream[:size]), w)
             # the table holds rows up to cap; a zero length above it is never hit
-            assert dead == any(0 in oracle.get(j, ()) for j in zl if j <= cap), (zl, cap, stream, size)
+            dead = any(0 in oracle.get(j, ()) for j in zl if j <= cap)
+            assert (new is None) == dead, (zl, cap, stream, size)  # a dead push returns None
             verdicts.append(dead)
             if dead:
-                assert new == word
                 break
             word = new
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
