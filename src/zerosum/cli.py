@@ -11,8 +11,10 @@ and ``table`` gives each row a budget of its own.
 Exit codes: 0 success or agreement, 2 a formula or census disagreement,
 3 node budget exceeded, 64 bad command line (including unknown flags) or
 search input the engine refuses, 65 hypothesis mismatch.
-Default output is byte-identical across runs; timing appears only with
---perf.
+Default output is byte-identical across runs.  With --perf the CLI times
+each ``compute_constant`` call it makes (in ``compute`` and in every
+``table`` row) and adds the milliseconds; the engine's reports carry no
+timing.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import csv
 import io
 import json
 import sys
+import time
 
 from .engine import ConstantKind, SearchBudgetExceeded, SearchInputError, compute_constant
 from .formulas import FormulaValue, formula_for
@@ -102,6 +105,18 @@ def _weights_arg(text: str, group: GroupSpec) -> WeightSet:
         raise UsageError(f"--weights: {exc}") from exc
 
 
+def _kind_weights(kind: ConstantKind, text: str | None, group: GroupSpec) -> WeightSet | None:
+    """The weight set ``--weights`` gives ``kind`` on ``group``: none for the
+    critical number, which refuses the flag; every other kind requires it."""
+    if kind is ConstantKind.CRITICAL:
+        if text is not None:
+            raise UsageError("--weights: the critical number takes no weight set")
+        return None
+    if text is None:
+        raise UsageError(f"--weights is required for kind {kind.value}")
+    return _weights_arg(text, group)
+
+
 def _range_arg(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     if not sep:
@@ -117,6 +132,13 @@ def _range_arg(text: str) -> tuple[int, int]:
 
 def _engine_opts(args) -> dict:
     return {} if args.node_budget is None else {"node_budget": args.node_budget}
+
+
+def _timed_compute(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, opts: dict):
+    """The report of one ``compute_constant`` call and its wall time in ms."""
+    t0 = time.perf_counter()
+    report = compute_constant(kind, group, weights, **opts)
+    return report, round((time.perf_counter() - t0) * 1000.0, 3)
 
 
 def _verdict(fv: FormulaValue, value: int) -> str | None:
@@ -151,20 +173,15 @@ def _dump_csv(header, rows) -> None:
 def cmd_compute(args) -> int:
     group = _group_arg(args.group)
     kind = ConstantKind(args.kind)
-    if kind is ConstantKind.CRITICAL:
-        if args.weights is not None:
-            raise UsageError("--weights: the critical number takes no weight set")
-        weights = None
-    else:
-        if args.weights is None:
-            raise UsageError(f"--weights is required for kind {kind.value}")
-        weights = _weights_arg(args.weights, group)
-    report = compute_constant(kind, group, weights, **_engine_opts(args))
+    weights = _kind_weights(kind, args.weights, group)
+    report, ms = _timed_compute(kind, group, weights, _engine_opts(args))
     fv = formula_for(kind, group, weights)
     verdict = _verdict(fv, report.value)
 
     if args.output == "json":
-        out = report.to_dict(include_perf=args.perf)
+        out = report.to_dict()
+        if args.perf:
+            out["wall_time_ms"] = ms
         out["formula"] = fv.to_dict()
         out["verdict"] = verdict
         _dump_json(out)
@@ -177,7 +194,7 @@ def cmd_compute(args) -> int:
                _formula_cell(fv), fv.tag or "", verdict or ""]
         if args.perf:
             header.append("ms")
-            row.append(round(report.wall_time_ms, 3))
+            row.append(ms)
         _dump_csv(header, [row])
     else:
         print(f"kind: {kind.value}")
@@ -193,7 +210,7 @@ def cmd_compute(args) -> int:
         else:
             print(f"formula: n/a ({fv.reason})")
         if args.perf:
-            print(f"ms: {round(report.wall_time_ms, 3)}")
+            print(f"ms: {ms}")
     return EXIT_DISAGREE if verdict == "DISAGREE" else EXIT_OK
 
 
@@ -256,20 +273,16 @@ def _family_groups(family: str, lo: int, hi: int) -> list[GroupSpec]:
 def cmd_table(args) -> int:
     lo, hi = _range_arg(args.range)
     kind = ConstantKind(args.kind)
-    if kind is ConstantKind.CRITICAL and args.weights is not None:
-        raise UsageError("--weights: the critical number takes no weight set")
-    if kind is not ConstantKind.CRITICAL and args.weights is None:
-        raise UsageError(f"--weights is required for kind {kind.value}")
     opts = _engine_opts(args)
 
     rows = []
     exit_code = EXIT_OK
     for group in _family_groups(args.family, lo, hi):
-        weights = _weights_arg(args.weights, group) if args.weights is not None else None
+        weights = _kind_weights(kind, args.weights, group)
         fv = formula_for(kind, group, weights)
         try:
-            report = compute_constant(kind, group, weights, **opts)
-            value, nodes, ms = report.value, report.nodes_visited, report.wall_time_ms
+            report, ms = _timed_compute(kind, group, weights, opts)
+            value, nodes = report.value, report.nodes_visited
             verdict = _verdict(fv, value)
             if verdict == "DISAGREE":
                 exit_code = EXIT_DISAGREE
@@ -290,7 +303,7 @@ def cmd_table(args) -> int:
                 "nodes_visited": nodes,
             }
             if args.perf and ms is not None:
-                row["wall_time_ms"] = round(ms, 3)
+                row["wall_time_ms"] = ms
             out_rows.append(row)
         _dump_json({"schema": 1, "type": "table", "kind": kind.value, "rows": out_rows})
     elif args.output == "csv":
@@ -303,7 +316,7 @@ def cmd_table(args) -> int:
                    "BUDGET" if value is None else value,
                    _formula_cell(fv), fv.tag or "", verdict or "", nodes]
             if args.perf:
-                row.append("" if ms is None else round(ms, 3))
+                row.append("" if ms is None else ms)
             out_rows.append(row)
         _dump_csv(header, out_rows)
     else:
@@ -313,7 +326,7 @@ def cmd_table(args) -> int:
             line = (f"{group.spec_string:<10} {cell:>6} {_formula_cell(fv):>9} "
                     f"{fv.tag or '':<28} {verdict or '':<9} {nodes:>10}")
             if args.perf and ms is not None:
-                line += f" {round(ms, 3):>10}"
+                line += f" {ms:>10}"
             print(line)
     return exit_code
 

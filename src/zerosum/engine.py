@@ -27,13 +27,13 @@ walk whose nodes depend only on the search inputs.  Roots (topmost elements)
 go in element order, and one bound, the best length so far, carries from
 root to root.  One node budget covers the walk, and the walk stops at the
 first node past it, so node counts, witnesses and budget aborts are
-byte-stable across runs.
+byte-stable across runs.  Reports carry no timing, so two identical
+searches return equal reports; the CLI times its calls for ``--perf``.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -91,9 +91,9 @@ class ConstantKind(str, Enum):
 class SearchReport:
     """Outcome of one constant computation.
 
-    ``wall_time_ms`` is the only field that varies between identical runs;
-    serialization leaves it out unless asked, so default reports are
-    byte-identical across runs.
+    A plain value: every field follows from the search inputs, so identical
+    searches give equal reports and byte-identical serializations.  Timing
+    is the caller's to take (the CLI's ``--perf``).
     """
 
     kind: ConstantKind
@@ -102,10 +102,9 @@ class SearchReport:
     value: int
     witness: Sequence
     nodes_visited: int
-    wall_time_ms: float
 
-    def to_dict(self, include_perf: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "schema": 1,
             "type": "search_report",
             "kind": self.kind.value,
@@ -115,9 +114,6 @@ class SearchReport:
             "witness": self.witness.literal(),
             "nodes_visited": self.nodes_visited,
         }
-        if include_perf:
-            out["wall_time_ms"] = round(self.wall_time_ms, 3)
-        return out
 
 
 def _node_budget(node_budget: int | None) -> int:
@@ -176,7 +172,7 @@ def _nonempty_engine(group: GroupSpec, weights: WeightSet, dead_mask: int):
 
 
 def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
-          ties: bool, nodes: int, budget: int, room=None):
+          ties: bool, budget: int, room=None):
     """Walk every live chain, one topmost position after another.
 
     A chain is a run of positions into ``universe``, strictly decreasing when
@@ -198,15 +194,15 @@ def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
     longer).  A probe for length L starts at ``best = L - 1`` with
     ``cap = L`` and stops at the first chain that reaches L.
 
-    ``nodes`` is the count used before this walk; the walk raises
-    ``SearchBudgetExceeded`` at the first node that takes it past ``budget``.
-    It recurses once per term, so the recursion limit is raised by ``cap``
-    while it runs.
+    The walk counts its nodes from 0 and raises ``SearchBudgetExceeded`` at
+    the first node that takes the count past ``budget``.  It recurses once
+    per term, so the recursion limit is raised by ``cap`` while it runs.
 
     Returns ``(length, witness, hits, nodes)``: the longest chain found with
     its length (the first, so colex-least; ``None`` if none beat ``best``),
-    the hits, and the node count including this walk.
+    the hits, and the walk's node count.
     """
+    nodes = 0
     hits: list[tuple[int, ...]] = [()] if ties else []
     chain: list[int] = []
     best_chain = None
@@ -253,58 +249,7 @@ def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
     return best, best_chain, hits, nodes
 
 
-# -- search driver -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MaxFailingResult:
-    length: int
-    witness: Sequence
-    nodes_visited: int
-    census: tuple[tuple[int, ...], ...] | None = None  # ascending index tuples
-
-
-def _search_max_failing(
-    group: GroupSpec,
-    weights: WeightSet | None,
-    kind: ConstantKind,
-    *,
-    node_budget: int,
-    want_census: bool,
-) -> MaxFailingResult:
-    """One walk: the longest failing length and its colex-least witness, and
-    with ``want_census`` every failing sequence of that length as an
-    ascending index tuple, in colex order, from the same walk kept open for
-    ties.  ``node_budget`` covers the walk."""
-    squarefree = kind in (ConstantKind.HARBORTH, ConstantKind.CRITICAL)
-    exp = group.exponent
-    universe = tuple(range(1 if kind is ConstantKind.CRITICAL else 0, group.order))
-    room = None
-    if kind is ConstantKind.CRITICAL:
-        init_state, push, room = _nonempty_engine(group, WeightSet.classic(exp), group.full_mask)
-    elif kind is ConstantKind.DAVENPORT:
-        init_state, push, room = _nonempty_engine(group, weights, 1)
-    else:
-        zl = tuple(range(1, exp + 1)) if kind is ConstantKind.ETA else (exp,)
-        init_state, push = subsum_kernel(group, weights, exp, zl)
-
-    # above every failing length: D(G) <= |G|, s(G) <= |G| + exp - 1, and a
-    # squarefree chain has at most |G| terms; reaching it can only mean a bug
-    cap = 4 * group.order + exp + 8
-    length, chain, hits, nodes = _walk(universe, init_state, push, best=0, cap=cap,
-                                       squarefree=squarefree, ties=want_census,
-                                       nodes=0, budget=node_budget, room=room)
-    _check(length < cap, f"failing lengths for {kind.value} on {group} stay below {cap}")
-
-    census = None
-    if want_census:
-        # a chain runs from its topmost position down, so reversed it ascends;
-        # each hit is replaced in place, so one copy of the census is live
-        for i, hit in enumerate(hits):
-            hits[i] = tuple(universe[p] for p in reversed(hit))
-        census = tuple(hits)
-    witness = Sequence.from_indices(group, [universe[p] for p in chain or ()])
-    return MaxFailingResult(length=length, witness=witness, nodes_visited=nodes, census=census)
+# -- search ------------------------------------------------------------------------
 
 
 def _validate_witness(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, witness: Sequence) -> None:
@@ -336,8 +281,11 @@ def _compute(
     *,
     node_budget: int | None = None,
     want_census: bool = False,
-):
-    t0 = time.perf_counter()
+) -> tuple[SearchReport, tuple[tuple[int, ...], ...] | None]:
+    """One walk: the report with the value and its colex-least witness, and
+    with ``want_census`` every failing sequence of the maximal length as an
+    ascending index tuple, in colex order, from the same walk kept open for
+    ties (else ``None``).  ``node_budget`` covers the walk."""
     if kind is ConstantKind.CRITICAL:
         if weights is not None:
             raise SearchInputError("the critical number takes no weight set")
@@ -351,26 +299,42 @@ def _compute(
                 f"weight modulus {weights.modulus} does not match exponent {group.exponent} of {group}"
             )
     node_budget = _node_budget(node_budget)
-    result = _search_max_failing(group, weights, kind, node_budget=node_budget,
-                                 want_census=want_census)
-    value = result.length + 1
-    _validate_witness(kind, group, weights, result.witness)
-    _check(result.witness.length == value - 1, "witness length is one below the value")
+    exp = group.exponent
+    universe = tuple(range(1 if kind is ConstantKind.CRITICAL else 0, group.order))
+    room = None
+    if kind is ConstantKind.CRITICAL:
+        init_state, push, room = _nonempty_engine(group, WeightSet.classic(exp), group.full_mask)
+    elif kind is ConstantKind.DAVENPORT:
+        init_state, push, room = _nonempty_engine(group, weights, 1)
+    else:
+        zl = tuple(range(1, exp + 1)) if kind is ConstantKind.ETA else (exp,)
+        init_state, push = subsum_kernel(group, weights, exp, zl)
+
+    # above every failing length: D(G) <= |G|, s(G) <= |G| + exp - 1, and a
+    # squarefree chain has at most |G| terms; reaching it can only mean a bug
+    cap = 4 * group.order + exp + 8
+    squarefree = kind in (ConstantKind.HARBORTH, ConstantKind.CRITICAL)
+    length, chain, hits, nodes = _walk(universe, init_state, push, best=0, cap=cap, squarefree=squarefree,
+                                       ties=want_census, budget=node_budget, room=room)
+    _check(length < cap, f"failing lengths for {kind.value} on {group} stay below {cap}")
+
+    value = length + 1
+    witness = Sequence.from_indices(group, [universe[p] for p in chain or ()])
+    _validate_witness(kind, group, weights, witness)
+    _check(witness.length == value - 1, "witness length is one below the value")
     if kind in (ConstantKind.HARBORTH, ConstantKind.EGZ):
-        _check(value >= group.exponent, "value is at least exp(G)")
+        _check(value >= exp, "value is at least exp(G)")
     if kind is ConstantKind.HARBORTH:
         _check(value <= group.order + 1, "value is at most |G| + 1")
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    report = SearchReport(
-        kind=kind,
-        group=group,
-        weights=weights,
-        value=value,
-        witness=result.witness,
-        nodes_visited=result.nodes_visited,
-        wall_time_ms=wall_ms,
-    )
-    return report, result.census
+    report = SearchReport(kind=kind, group=group, weights=weights, value=value,
+                          witness=witness, nodes_visited=nodes)
+    if not want_census:
+        return report, None
+    # a chain runs from its topmost position down, so reversed it ascends;
+    # each hit is replaced in place, so one copy of the census is live
+    for i, hit in enumerate(hits):
+        hits[i] = tuple(universe[p] for p in reversed(hit))
+    return report, tuple(hits)
 
 
 def harborth(group: GroupSpec, weights: WeightSet, **opts) -> SearchReport:
@@ -462,4 +426,4 @@ def exists_failing_sequence(
         length = min(length, group.order * max(cap, 1) + 1)
     init_state, push = subsum_kernel(group, weights, cap, zl)
     return _walk(universe, init_state, push, best=length - 1, cap=length, squarefree=squarefree,
-                 ties=False, nodes=0, budget=node_budget)[0] == length
+                 ties=False, budget=node_budget)[0] == length

@@ -11,8 +11,9 @@ sequences of the theorem's shape exactly, with no listing and no search
 passes and the count equals the census size, the census is the predicate's
 set.  Only when they disagree does the run filter every candidate index
 tuple through the predicate, to name the sequences that only the predicate
-accepts.  Each theorem's group scope is written once, in ``_SCOPES``; the
-hypothesis check, the predicates and the counts all read it.
+accepts.  Each C2 x C2n theorem's groups, weight set and shape length are
+written once, in ``_SCOPES``; the hypothesis checks, the predicates and the
+counts all read it.
 
 The paper states its shapes over C2 x C2n "for some basis (e1, e2)".  None
 of them depends on the basis, so each predicate is a basis-free statement
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from math import comb
+from typing import Callable, NamedTuple
 
 from zerosum.engine import ConstantKind, InternalCheckError
 # bound under the engine's census name, which the benchmark's span recorder wraps
@@ -144,11 +146,26 @@ def enumerate_extremal(group: GroupSpec, weights: WeightSet, **opts) -> Extremal
 # ``HypothesisError``.  They may return False for right-length tuples that
 # fail the shape, so a census comparison is meaningful.
 
+class _Scope(NamedTuple):
+    """One C2 x C2n theorem: the groups and the weight set it is about, and
+    the length of its shapes."""
+
+    groups: str  # as ``HypothesisError`` names them
+    holds: Callable[[int], bool]  # whether C2 x C2n is in scope, from n
+    weights: Callable[[int], WeightSet]  # the weight set, from exp(G)
+    about: str  # that weight set, as ``HypothesisError`` names it
+    length: Callable[[int], int]  # the shape length, from n
+
+
 _SCOPES = {
-    TheoremId.C2C4_PM: ("C2 x C4", lambda n: n == 2),
-    TheoremId.PM_GENERAL: ("C2 x C2n with n >= 3", lambda n: n >= 3),
-    TheoremId.UNWEIGHTED_EVEN: ("C2 x C2n with even n >= 4", lambda n: n >= 4 and n % 2 == 0),
-    TheoremId.UNWEIGHTED_ODD: ("C2 x C2n with odd n >= 3", lambda n: n >= 3 and n % 2 == 1),
+    TheoremId.C2C4_PM: _Scope("C2 x C4", lambda n: n == 2,
+                              WeightSet.plus_minus, "plus-minus weights", lambda n: 4),
+    TheoremId.PM_GENERAL: _Scope("C2 x C2n with n >= 3", lambda n: n >= 3,
+                                 WeightSet.plus_minus, "plus-minus weights", lambda n: 2 * n + 1),
+    TheoremId.UNWEIGHTED_EVEN: _Scope("C2 x C2n with even n >= 4", lambda n: n >= 4 and n % 2 == 0,
+                                      WeightSet.classic, "unweighted sums", lambda n: 2 * n + 1),
+    TheoremId.UNWEIGHTED_ODD: _Scope("C2 x C2n with odd n >= 3", lambda n: n >= 3 and n % 2 == 1,
+                                     WeightSet.classic, "unweighted sums", lambda n: 2 * n + 2),
 }
 
 
@@ -158,11 +175,17 @@ def _scope_n(theorem: TheoremId, group: GroupSpec) -> int:
 
     Memoised, since every predicate call asks again; a group outside the
     scope is not cached and raises on every call."""
-    what, holds = _SCOPES[theorem]
+    scope = _SCOPES[theorem]
     n = group.shape_2x2n()
-    if n is None or not holds(n):
-        raise HypothesisError(f"{theorem.value} needs {what}, got {group.describe()}")
+    if n is None or not scope.holds(n):
+        raise HypothesisError(f"{theorem.value} needs {scope.groups}, got {group.describe()}")
     return n
+
+
+def _shape_length(theorem: TheoremId, group: GroupSpec) -> int:
+    """The length of the theorem's shapes on the group, which ``_scope_n``
+    checks is in scope."""
+    return _SCOPES[theorem].length(_scope_n(theorem, group))
 
 
 def _is_squarefree_of_length(idxs: tuple[int, ...], length: int) -> bool:
@@ -200,8 +223,7 @@ def predicate_c2c4_pm(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     (1 + 3, or 2 + 2 sharing one e2-coordinate with the leftover two summing
     to an odd multiple of e2) are the four-sets that fill one class and
     touch two more."""
-    _scope_n(TheoremId.C2C4_PM, group)
-    if not _is_squarefree_of_length(idxs, 4):
+    if not _is_squarefree_of_length(idxs, _shape_length(TheoremId.C2C4_PM, group)):
         return False
     coset = _coset_table(group)
     return len({coset[idx] for idx in idxs}) == 3
@@ -211,8 +233,7 @@ def predicate_pm_general(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     """Extremal shape over C2 x C2n (n >= 3) with both signs: the support
     occupies exactly three of the four classes modulo doubled elements, an odd
     number of terms in each.  Basis-free."""
-    n = _scope_n(TheoremId.PM_GENERAL, group)
-    if not _is_squarefree_of_length(idxs, 2 * n + 1):
+    if not _is_squarefree_of_length(idxs, _shape_length(TheoremId.PM_GENERAL, group)):
         return False
     coset = _coset_table(group)
     counts = [0, 0, 0, 0]
@@ -228,8 +249,7 @@ def predicate_unweighted_even(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     coordinates of a basis are an isomorphism onto Z2 x Z2n, and sigma(S)
     has the e1-coordinate of the odd-size half, so every basis asks whether
     sigma(S) lies in S."""
-    n = _scope_n(TheoremId.UNWEIGHTED_EVEN, group)
-    if not _is_squarefree_of_length(idxs, 2 * n + 1):
+    if not _is_squarefree_of_length(idxs, _shape_length(TheoremId.UNWEIGHTED_EVEN, group)):
         return False
     return _sigma(group, idxs) not in idxs
 
@@ -243,8 +263,7 @@ def predicate_unweighted_odd(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     sigma(T) = sigma(S) - (2n + 2)h = 0.  Translated by h, the test reads: S
     meets sigma(S) - S exactly in the halves of sigma(S).  (With no halves
     it fails anyway, as 2n + 2 terms fill some pair {x, sigma(S) - x}.)"""
-    n = _scope_n(TheoremId.UNWEIGHTED_ODD, group)
-    if not _is_squarefree_of_length(idxs, 2 * n + 2):
+    if not _is_squarefree_of_length(idxs, _shape_length(TheoremId.UNWEIGHTED_ODD, group)):
         return False
     sig = _sigma(group, idxs)
     reflect = group.add_table[sig]
@@ -273,16 +292,11 @@ _PREDICATES = {
 
 def weights_for_theorem(theorem: TheoremId, group: GroupSpec, weights: WeightSet | None) -> WeightSet:
     """Resolve and hypothesis-check the weight set a characterization speaks about."""
-    exp = group.exponent
-    if theorem in (TheoremId.C2C4_PM, TheoremId.PM_GENERAL):
-        expected = WeightSet.plus_minus(exp)
+    scope = _SCOPES.get(theorem)
+    if scope is not None:
+        expected = scope.weights(group.exponent)
         if weights is not None and weights != expected:
-            raise HypothesisError(f"{theorem.value} is about plus-minus weights, not {weights.label()}")
-        return expected
-    if theorem in (TheoremId.UNWEIGHTED_EVEN, TheoremId.UNWEIGHTED_ODD):
-        expected = WeightSet.classic(exp)
-        if weights is not None and weights != expected:
-            raise HypothesisError(f"{theorem.value} is about unweighted sums, not {weights.label()}")
+            raise HypothesisError(f"{theorem.value} is about {scope.about}, not {weights.label()}")
         return expected
     if weights is None:
         raise HypothesisError(f"{theorem.value} needs an explicit weight set")
@@ -358,13 +372,7 @@ def _shape_count(theorem: TheoremId, group: GroupSpec, length: int) -> int:
     if theorem is TheoremId.FULL_GROUP:
         return int(length == order)
     n = _scope_n(theorem, group)
-    shape_length = {
-        TheoremId.C2C4_PM: 4,
-        TheoremId.PM_GENERAL: 2 * n + 1,
-        TheoremId.UNWEIGHTED_EVEN: 2 * n + 1,
-        TheoremId.UNWEIGHTED_ODD: 2 * n + 2,
-    }[theorem]
-    if length != shape_length:
+    if length != _SCOPES[theorem].length(n):
         return 0
     add = group.add_table
     if theorem in (TheoremId.C2C4_PM, TheoremId.PM_GENERAL):
@@ -470,8 +478,7 @@ def check_doubled_subsums_full(seq: Sequence) -> bool:
     from zerosum.sequences import subsums_sigma0
 
     group = seq.group
-    n = _scope_n(TheoremId.PM_GENERAL, group)
-    if not seq.is_squarefree or seq.length != 2 * n + 1:
+    if not seq.is_squarefree or seq.length != _shape_length(TheoremId.PM_GENERAL, group):
         raise ValueError("expected a maximal failing squarefree sequence of length 2n + 1")
     w = WeightSet.plus_minus(group.exponent)
     if has_weighted_zero_of_length(seq, w, group.exponent):

@@ -87,10 +87,6 @@ class WeightSet:
         return f"WeightSet({{{','.join(str(w) for w in self.classes)}}} mod {self.modulus})"
 
 
-def weights_for(group: GroupSpec, spec: str) -> WeightSet:
-    return WeightSet.parse(spec, group.exponent)
-
-
 @lru_cache(maxsize=64)
 def _term_literals(group: GroupSpec) -> tuple[str, ...]:
     """Per element index: its coordinates as a literal term, ``(a,b)``."""

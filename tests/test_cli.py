@@ -45,6 +45,22 @@ def test_compute_perf_adds_timing(capsys):
                        "--kind", "harborth", "--output", "json", "--perf")
     assert code == 0
     assert "wall_time_ms" in json.loads(out)
+    # text gains one ms line and csv one ms column; the rest stays as is
+    argv = ("compute", "--group", "2,6", "--weights", "pm", "--kind", "harborth")
+    _, plain, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--perf")
+    assert code == 0
+    assert out.startswith(plain)
+    assert re.fullmatch(r"ms: \d+\.?\d*\n", out[len(plain):])
+    assert "ms:" not in plain
+    _, plain, _ = run(capsys, *argv, "--output", "csv")
+    code, out, _ = run(capsys, *argv, "--output", "csv", "--perf")
+    assert code == 0
+    (plain_header, plain_row), (header, row) = plain.splitlines(), out.splitlines()
+    assert header == plain_header + ",ms"
+    assert not plain_header.endswith(",ms")
+    assert row.startswith(plain_row + ",")
+    assert float(row[len(plain_row) + 1:]) >= 0
 
 
 def test_compute_csv(capsys):
@@ -289,6 +305,48 @@ def test_table_json_schema(capsys):
     assert d["schema"] == 1
     assert [r["value"] for r in d["rows"]] == [4, 4]
     assert all(r["verdict"] == "AGREE" for r in d["rows"])
+
+
+_BUDGET_TABLE = ("table", "--family", "2,2n", "--range", "1:4", "--kind", "harborth",
+                 "--weights", "pm", "--node-budget", "1000")  # 2,8 takes 10,474 nodes
+
+
+def test_table_perf_times_each_searched_row(capsys):
+    _, plain, _ = run(capsys, *_BUDGET_TABLE, "--output", "json")
+    code, out, _ = run(capsys, *_BUDGET_TABLE, "--output", "json", "--perf")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["budget_exceeded"] for r in rows] == [False, False, False, True]
+    assert all(r["wall_time_ms"] >= 0 for r in rows[:3])
+    assert "wall_time_ms" not in rows[3]
+    assert "wall_time_ms" not in plain
+    for r in rows[:3]:
+        del r["wall_time_ms"]
+    assert rows == json.loads(plain)["rows"]
+
+    _, plain, _ = run(capsys, *_BUDGET_TABLE, "--output", "csv")
+    code, out, _ = run(capsys, *_BUDGET_TABLE, "--output", "csv", "--perf")
+    assert code == 0
+    plain_lines, lines = plain.splitlines(), out.splitlines()
+    assert lines[0] == plain_lines[0] + ",ms"
+    assert not plain_lines[0].endswith(",ms")
+    cells = []
+    for line, plain_line in zip(lines[1:], plain_lines[1:], strict=True):
+        assert line.startswith(plain_line + ",")
+        cells.append(line[len(plain_line) + 1:])
+    assert cells[3] == ""  # the BUDGET row
+    assert all(float(c) >= 0 for c in cells[:3])
+
+    _, plain, _ = run(capsys, *_BUDGET_TABLE)
+    code, out, _ = run(capsys, *_BUDGET_TABLE, "--perf")
+    assert code == 0
+    plain_lines, lines = plain.splitlines(), out.splitlines()
+    assert lines[0] == plain_lines[0]
+    for line, plain_line in zip(lines[1:4], plain_lines[1:4], strict=True):
+        assert line.startswith(plain_line)
+        assert re.fullmatch(r" +\d+\.?\d*", line[len(plain_line):])
+        assert len(line) == len(plain_line) + 11
+    assert "BUDGET" in lines[4] and lines[4] == plain_lines[4]
 
 
 def test_table_bad_range_exits_64(capsys):

@@ -463,21 +463,21 @@ def test_census_members_all_fail_and_are_distinct():
 
 
 _CORRUPTED_WITNESS_RUN = textwrap.dedent("""
-    import dataclasses, sys
+    import sys
     import zerosum.engine as engine
     from zerosum.groups import parse_group
-    from zerosum.sequences import Sequence, WeightSet
+    from zerosum.sequences import WeightSet
 
     assert False, "asserts are on; this check must run under python -O"
-    search = engine._search_max_failing
+    walk = engine._walk
 
-    def corrupted(group, *args, **kwargs):
-        result = search(group, *args, **kwargs)
-        # same length as the true witness, but it holds a zero-sum of length 6
-        bad = Sequence.from_indices(group, range(result.witness.length))
-        return dataclasses.replace(result, witness=bad)
+    def corrupted(*args, **kwargs):
+        length, chain, hits, nodes = walk(*args, **kwargs)
+        # same length as the true witness chain, but positions 0..length-1
+        # of 2,6 hold a zero-sum of length 6
+        return length, tuple(range(length)), hits, nodes
 
-    engine._search_max_failing = corrupted
+    engine._walk = corrupted
     g = parse_group("2,6")
     try:
         engine.harborth(g, WeightSet.plus_minus(6))
@@ -763,4 +763,13 @@ def test_report_serialization_shape():
     assert d["weights"] == [1, 3]
     assert d["value"] == 3
     assert "wall_time_ms" not in d
-    assert "wall_time_ms" in r.to_dict(include_perf=True)
+
+
+def test_identical_searches_give_equal_reports():
+    # a report holds no timing, so it is a plain value of the search inputs
+    g, w = parse_group("2,6"), pm(6)
+    assert harborth(g, w) == harborth(g, w)
+    assert critical_number(parse_group("6")) == critical_number(parse_group("6"))
+    first = engine.failing_census_indices(ConstantKind.HARBORTH, g, w)
+    assert first == engine.failing_census_indices(ConstantKind.HARBORTH, g, w)
+    assert len(first[1]) == 36

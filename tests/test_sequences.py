@@ -24,7 +24,6 @@ from zerosum.sequences import (
     subsums_sigma0,
     weighted_length_sums_oracle,
     weighted_sums,
-    weights_for,
 )
 
 
