@@ -12,9 +12,11 @@ Exit codes: 0 success or agreement, 2 a formula or census disagreement,
 3 node budget exceeded, 64 bad command line (including unknown flags) or
 search input the engine refuses, 65 hypothesis mismatch.
 Default output is byte-identical across runs.  With --perf the CLI times
-each ``compute_constant`` call it makes (in ``compute`` and in every
-``table`` row) and adds the milliseconds; the engine's reports carry no
-timing.
+the call behind each answer (``compute_constant`` in ``compute`` and in
+every ``table`` row, ``enumerate_extremal`` in ``enumerate``,
+``verify_characterization`` in ``verify``) and adds the milliseconds: a JSON
+``wall_time_ms`` field, a CSV ``ms`` column, a text ``ms`` line (a column
+in ``table``).  The engine's reports carry no timing.
 """
 
 from __future__ import annotations
@@ -134,11 +136,11 @@ def _engine_opts(args) -> dict:
     return {} if args.node_budget is None else {"node_budget": args.node_budget}
 
 
-def _timed_compute(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, opts: dict):
-    """The report of one ``compute_constant`` call and its wall time in ms."""
+def _timed(call, *args, **kwargs):
+    """The result of one call and its wall time in ms."""
     t0 = time.perf_counter()
-    report = compute_constant(kind, group, weights, **opts)
-    return report, round((time.perf_counter() - t0) * 1000.0, 3)
+    result = call(*args, **kwargs)
+    return result, round((time.perf_counter() - t0) * 1000.0, 3)
 
 
 def _verdict(fv: FormulaValue, value: int) -> str | None:
@@ -167,6 +169,16 @@ def _dump_csv(header, rows) -> None:
     sys.stdout.write(buf.getvalue())
 
 
+def _dump_perf_csv(header, rows, ms) -> None:
+    """A listing with one command's time: unless ``ms`` is None, an ``ms``
+    column holds it on every row, and a listing with no rows gets one row
+    that holds only the time."""
+    if ms is not None:
+        header = header + ["ms"]
+        rows = [row + [ms] for row in rows] or [[""] * (len(header) - 1) + [ms]]
+    _dump_csv(header, rows)
+
+
 # -- subcommands -------------------------------------------------------------------
 
 
@@ -174,7 +186,7 @@ def cmd_compute(args) -> int:
     group = _group_arg(args.group)
     kind = ConstantKind(args.kind)
     weights = _kind_weights(kind, args.weights, group)
-    report, ms = _timed_compute(kind, group, weights, _engine_opts(args))
+    report, ms = _timed(compute_constant, kind, group, weights, **_engine_opts(args))
     fv = formula_for(kind, group, weights)
     verdict = _verdict(fv, report.value)
 
@@ -217,11 +229,14 @@ def cmd_compute(args) -> int:
 def cmd_enumerate(args) -> int:
     group = _group_arg(args.group)
     weights = _weights_arg(args.weights, group)
-    census = enumerate_extremal(group, weights, **_engine_opts(args))
+    census, ms = _timed(enumerate_extremal, group, weights, **_engine_opts(args))
     if args.output == "json":
-        _dump_json(census.to_dict())
+        out = census.to_dict()
+        if args.perf:
+            out["wall_time_ms"] = ms
+        _dump_json(out)
     elif args.output == "csv":
-        _dump_csv(["sequence"], [[m.literal()] for m in census.members])
+        _dump_perf_csv(["sequence"], [[m.literal()] for m in census.members], ms if args.perf else None)
     else:
         print(f"group: {group.spec_string}")
         print(f"weights: {weights.label()}")
@@ -229,6 +244,8 @@ def cmd_enumerate(args) -> int:
         print(f"count: {len(census.members)}")
         for m in census.members:
             print(m.literal())
+        if args.perf:
+            print(f"ms: {ms}")
     return EXIT_OK
 
 
@@ -239,14 +256,17 @@ def cmd_verify(args) -> int:
         # a group outside the stated hypotheses, even unparseable, is a mismatch
         raise HypothesisError(f"--group: {exc}") from exc
     weights = _weights_arg(args.weights, group) if args.weights is not None else None
-    report = verify_characterization(TheoremId(args.theorem), group, weights,
-                                     **_engine_opts(args))
+    report, ms = _timed(verify_characterization, TheoremId(args.theorem), group, weights,
+                        **_engine_opts(args))
     if args.output == "json":
-        _dump_json(report.to_dict())
+        out = report.to_dict()
+        if args.perf:
+            out["wall_time_ms"] = ms
+        _dump_json(out)
     elif args.output == "csv":
         rows = [["census", m] for m in report.to_dict()["only_in_census"]]
         rows += [["predicate", m] for m in report.to_dict()["only_in_predicate"]]
-        _dump_csv(["side", "sequence"], rows)
+        _dump_perf_csv(["side", "sequence"], rows, ms if args.perf else None)
     else:
         print(f"theorem: {report.theorem.value}")
         print(f"group: {group.spec_string}")
@@ -258,6 +278,8 @@ def cmd_verify(args) -> int:
             print(f"only in census: {m.literal()}")
         for m in report.only_in_predicate:
             print(f"only in predicate: {m.literal()}")
+        if args.perf:
+            print(f"ms: {ms}")
     return EXIT_OK if report.agree else EXIT_DISAGREE
 
 
@@ -281,7 +303,7 @@ def cmd_table(args) -> int:
         weights = _kind_weights(kind, args.weights, group)
         fv = formula_for(kind, group, weights)
         try:
-            report, ms = _timed_compute(kind, group, weights, opts)
+            report, ms = _timed(compute_constant, kind, group, weights, **opts)
             value, nodes = report.value, report.nodes_visited
             verdict = _verdict(fv, value)
             if verdict == "DISAGREE":

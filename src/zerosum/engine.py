@@ -7,17 +7,18 @@ maximal search settles the value.
 
 One walker does all the searching.  It builds sequences as chains from the
 largest element index downward, which visits each fixed length in colex
-order.  A node carries the state of its partial sequence: the per-length
-weighted subsum table (the kernel in ``zerosum.sequences``), or for davenport
-and the critical number the mask of nonempty weighted subsums.  A node whose
-state shows a forbidden zero-sum, or sums covering G, is dead, and so is
-every extension, which is what keeps the walk far below the raw binomial
-counts.  A live davenport or critical chain of length n also ends no longer
-than n + N - 1 - |ne|, N = |G| and ne its nonempty sums, since each further
-term adds a nonzero sum or (critical) lies in the stabiliser of the final
-sums (``_nonempty_engine``), so a chain with no room to beat the best is not
-extended.  A value search records each chain longer than the best so far, so
-its first chain of the maximal length is the colex-least witness.  A census
+order.  A node is one pushed child.  It carries the state of its partial
+sequence (the per-length weighted subsum table, the kernel in
+``zerosum.sequences``, or for davenport and the critical number the mask of
+nonempty weighted subsums) and its live mask, the element indices it may
+still push (``_walk``, ``_walk_parts``).  A state that shows a forbidden
+zero-sum, or sums covering G, is dead, and so is every extension, which is
+what keeps the walk far below the raw binomial counts; a child the state
+already rules out is left out of the mask and never pushed.  A squarefree
+chain whose mask, or a davenport or critical chain whose nonempty sums
+(``_nonempty_engine``), leave it no room to beat the best is not extended.
+A value search records each chain longer than the best so far, so its
+first chain of the maximal length is the colex-least witness.  A census
 runs the same walk but keeps the chains that tie the best so far, starting
 over whenever the best grows, so at the end it holds every failing sequence
 of the maximal length, in colex order, with the witness first.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 from typing import Iterable
 
 from zerosum.groups import GroupSpec
@@ -171,20 +173,28 @@ def _nonempty_engine(group: GroupSpec, weights: WeightSet, dead_mask: int):
 # -- the walker -------------------------------------------------------------------
 
 
-def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
+def _walk(start: int, init_state, push, *, dead=None, best: int, cap: int, squarefree: bool,
           ties: bool, budget: int, room=None):
-    """Walk every live chain, one topmost position after another.
+    """Walk every live chain, one topmost element after another.
 
-    A chain is a run of positions into ``universe``, strictly decreasing when
+    A chain is a run of element indices, strictly decreasing when
     ``squarefree`` and nonincreasing otherwise, so chains come out in colex
-    order.  The walk records the first chain longer than ``best`` each time
-    it finds one, and ``best`` carries over from one root to the next; a
-    chain of length ``cap`` sets ``best`` and ends the walk.  Squarefree
-    chains that cannot get longer than ``best`` are pruned, or with ``ties``
-    only those that cannot reach it.  So is a live chain of length n with
-    ``n + room(state)`` below that, when ``room`` bounds how many terms a
-    chain can still gain (``_nonempty_engine`` gives it for davenport and the
-    critical number): it is counted as a node and recorded, not extended.
+    order.  Each node holds its live mask, the element indices it may still
+    push, and pushes only those, lowest first.  The root's mask is ``start``;
+    a child's is its parent's mask below it (at or below it when not
+    ``squarefree``) less ``dead(state)``, a set of children that every push
+    on the child's state would reject.  Dead sets only grow along a chain,
+    so the mask holds every term any extension can add.
+
+    The walk records the first chain longer than ``best`` each time it
+    finds one, and ``best`` carries over from one root to the next; a chain
+    of length ``cap`` sets ``best`` and ends the walk.  A squarefree child
+    with fewer live positions below it than it needs to beat ``best`` (with
+    ``ties``, to reach it) is skipped unpushed, and a live squarefree chain
+    of length n is extended only when n plus the size of its mask can still
+    beat ``best``; so is any chain with ``n + room(state)`` below that,
+    when ``room`` bounds how many terms a chain can still gain
+    (``_nonempty_engine`` gives it for davenport and the critical number).
     With ``ties`` every live chain of length ``best`` is a hit, and the hits
     start over whenever ``best`` grows.
 
@@ -194,9 +204,10 @@ def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
     longer).  A probe for length L starts at ``best = L - 1`` with
     ``cap = L`` and stops at the first chain that reaches L.
 
-    The walk counts its nodes from 0 and raises ``SearchBudgetExceeded`` at
-    the first node that takes the count past ``budget``.  It recurses once
-    per term, so the recursion limit is raised by ``cap`` while it runs.
+    A node is one push.  The walk counts its nodes from 0 and raises
+    ``SearchBudgetExceeded`` at the first node that takes the count past
+    ``budget``.  It recurses once per term, so the recursion limit is raised
+    by ``cap`` while it runs.
 
     Returns ``(length, witness, hits, nodes)``: the longest chain found with
     its length (the first, so colex-least; ``None`` if none beat ``best``),
@@ -204,43 +215,62 @@ def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
     """
     nodes = 0
     hits: list[tuple[int, ...]] = [()] if ties else []
-    chain: list[int] = []
+    chain = [0] * cap  # chain[i] is the (i+1)-th term of the chain being grown
     best_chain = None
     reach = 1 if ties else 0  # with ties a chain only has to reach best, not beat it
 
-    def grow(state, size: int, children) -> bool:
-        """Try each child position after the live chain; True ends the walk."""
+    def grow(state, size: int, live: int) -> bool:
+        """Push each child in the live mask after the chain; True ends the walk."""
         nonlocal nodes, best, best_chain, hits
         n = size + 1
-        for c in children:
-            if squarefree and c < best - size - reach:
-                continue
+        todo = live
+        trimmed = -1  # the best the squarefree mask was last trimmed for
+        while todo:
+            if squarefree and best != trimmed:
+                # skip the children with fewer than t live positions below
+                # them, as a chain through one needs t more terms; a
+                # position below t has fewer than t below it
+                trimmed, t = best, best - size - reach
+                if t > 0:
+                    todo &= -1 << t
+                    below = (live ^ todo).bit_count()
+                    while below < t and todo:
+                        todo &= todo - 1
+                        below += 1
+                    if not todo:
+                        break
+            low = todo & -todo
+            todo ^= low
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(nodes, budget)
-            new = push(state, universe[c])
+            c = low.bit_length() - 1
+            new = push(state, c)
             if new is None:
                 continue
-            chain.append(c)
+            chain[size] = c
             if n > best:
-                best, best_chain = n, tuple(chain)
+                best, best_chain = n, tuple(chain[:n])
                 if ties:
                     hits = [best_chain]
                 if n == cap:
                     return True
             elif ties and n == best:
-                hits.append(tuple(chain))
-            if room is None or n + room(new) >= best + 1 - reach:
-                below = range(max(0, best - n - reach), c) if squarefree else range(c + 1)
-                if grow(new, n, below):
-                    return True
-            chain.pop()
+                hits.append(tuple(chain[:n]))
+            need = best + 1 - reach - n  # terms an extension still needs
+            if room is not None and room(new) < need:
+                continue
+            child = live & (low - 1 if squarefree else (low << 1) - 1)
+            if dead is not None:
+                child &= ~dead(new)
+            if child and (not squarefree or child.bit_count() >= need) and grow(new, n, child):
+                return True
         return False
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + cap)
     try:
-        grow(init_state, 0, range(len(universe)))
+        grow(init_state, 0, start if dead is None else start & ~dead(init_state))
     finally:
         sys.setrecursionlimit(limit)
         # grow reaches itself through its closure; breaking the cycle frees
@@ -250,6 +280,60 @@ def _walk(universe, init_state, push, *, best: int, cap: int, squarefree: bool,
 
 
 # -- search ------------------------------------------------------------------------
+
+
+def _unit_scaled(weights: WeightSet) -> WeightSet | None:
+    """V = -u^-1 * W for the least unit u in W (u = 1 for pm and classic), or
+    ``None`` when W holds no unit.
+
+    Scaling every weight by one unit scales every weighted sum by it, so V
+    has the same zero-sums as W.  A table built on V holds -u^-1 * s for
+    each sum s on W, so its row j - 1 lists exactly the g with u*g + s = 0
+    for some s in row j - 1 on W: children that close a zero-sum of length
+    j.  With W = {u} or W = {u, -u} (pm and classic) those are all of them.
+    """
+    m = weights.modulus
+    u = next((w for w in weights.classes if gcd(w, m) == 1), None)
+    if u is None:
+        return None
+    return WeightSet.of(m, [-pow(u, -1, m) * w for w in weights.classes])
+
+
+def _walk_parts(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None):
+    """The kind's walk as ``(start, init_state, push, dead, room)``.
+
+    ``dead(state)`` is a set of children every push on the state rejects,
+    read off a kernel built on ``_unit_scaled`` weights: row exp - 1 of the
+    table for harborth, egz and eta, the nonempty sums and 0 for davenport.
+    The eta table starts with 0 in every row, not in row 0 alone, so row j
+    holds the sums of length at most j, and a zero-sum of any length
+    1..exp closes through row exp - 1 as one of length exp does for egz.
+    ``dead`` is ``None`` for the critical number, whose dead children
+    (those that cover G) no row shows, and for a weight set with no unit;
+    ``push`` stays the exact judge either way.  The critical number's
+    ``start`` leaves out 0, which is never a term of a zero-free set.
+    """
+    full = group.full_mask
+    if kind is ConstantKind.CRITICAL:
+        init_state, push, room = _nonempty_engine(group, WeightSet.classic(group.exponent), full)
+        return full & ~1, init_state, push, None, room
+    scaled = _unit_scaled(weights)
+    exp = group.exponent
+    if kind is ConstantKind.DAVENPORT:
+        init_state, push, room = _nonempty_engine(group, scaled or weights, 1)
+
+        def dead(ne: int) -> int:
+            return ne | 1
+    else:
+        room = None
+        init_state, push = subsum_kernel(group, scaled or weights, exp, (exp,))
+        if kind is ConstantKind.ETA:
+            init_state = sum(1 << j * group.order for j in range(exp + 1))
+        shift = (exp - 1) * group.order
+
+        def dead(word: int) -> int:
+            return (word >> shift) & full
+    return full, init_state, push, dead if scaled else None, room
 
 
 def _validate_witness(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, witness: Sequence) -> None:
@@ -300,26 +384,19 @@ def _compute(
             )
     node_budget = _node_budget(node_budget)
     exp = group.exponent
-    universe = tuple(range(1 if kind is ConstantKind.CRITICAL else 0, group.order))
-    room = None
-    if kind is ConstantKind.CRITICAL:
-        init_state, push, room = _nonempty_engine(group, WeightSet.classic(exp), group.full_mask)
-    elif kind is ConstantKind.DAVENPORT:
-        init_state, push, room = _nonempty_engine(group, weights, 1)
-    else:
-        zl = tuple(range(1, exp + 1)) if kind is ConstantKind.ETA else (exp,)
-        init_state, push = subsum_kernel(group, weights, exp, zl)
+    start, init_state, push, dead, room = _walk_parts(kind, group, weights)
 
     # above every failing length: D(G) <= |G|, s(G) <= |G| + exp - 1, and a
     # squarefree chain has at most |G| terms; reaching it can only mean a bug
     cap = 4 * group.order + exp + 8
     squarefree = kind in (ConstantKind.HARBORTH, ConstantKind.CRITICAL)
-    length, chain, hits, nodes = _walk(universe, init_state, push, best=0, cap=cap, squarefree=squarefree,
-                                       ties=want_census, budget=node_budget, room=room)
+    length, chain, hits, nodes = _walk(start, init_state, push, dead=dead, best=0, cap=cap,
+                                       squarefree=squarefree, ties=want_census, budget=node_budget,
+                                       room=room)
     _check(length < cap, f"failing lengths for {kind.value} on {group} stay below {cap}")
 
     value = length + 1
-    witness = Sequence.from_indices(group, [universe[p] for p in chain or ()])
+    witness = Sequence.from_indices(group, chain or ())
     _validate_witness(kind, group, weights, witness)
     _check(witness.length == value - 1, "witness length is one below the value")
     if kind in (ConstantKind.HARBORTH, ConstantKind.EGZ):
@@ -330,10 +407,10 @@ def _compute(
                           witness=witness, nodes_visited=nodes)
     if not want_census:
         return report, None
-    # a chain runs from its topmost position down, so reversed it ascends;
+    # a chain runs from its topmost element down, so reversed it ascends;
     # each hit is replaced in place, so one copy of the census is live
     for i, hit in enumerate(hits):
-        hits[i] = tuple(universe[p] for p in reversed(hit))
+        hits[i] = hit[::-1]
     return report, tuple(hits)
 
 
@@ -413,7 +490,6 @@ def exists_failing_sequence(
     if length == 0:
         return True
     squarefree = mode == "squarefree"
-    universe = tuple(range(group.order))
     if squarefree and length > group.order:
         return False
     # a zero-sum longer than the sequence cannot occur, so no row above
@@ -425,5 +501,5 @@ def exists_failing_sequence(
         # times, and more copies of it leave rows 0..cap as they are
         length = min(length, group.order * max(cap, 1) + 1)
     init_state, push = subsum_kernel(group, weights, cap, zl)
-    return _walk(universe, init_state, push, best=length - 1, cap=length, squarefree=squarefree,
+    return _walk(group.full_mask, init_state, push, best=length - 1, cap=length, squarefree=squarefree,
                  ties=False, budget=node_budget)[0] == length

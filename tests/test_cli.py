@@ -1,5 +1,7 @@
 """CLI behavior: outputs, exit codes, reproducibility."""
 
+import csv
+import io
 import json
 import re
 import shlex
@@ -255,6 +257,39 @@ def test_enumerate_json(capsys):
     assert d["count"] == 48
 
 
+@pytest.mark.parametrize("argv", [("enumerate", "--group", "2,4", "--weights", "pm"),
+                                  ("verify", "--group", "2,6", "--theorem", "pm-general")])
+def test_enumerate_and_verify_perf_add_timing(capsys, argv):
+    # JSON gains wall_time_ms, text a last ms line, CSV an ms column; the rest
+    # is the flagless output
+    _, plain, _ = run(capsys, *argv, "--output", "json")
+    code, out, _ = run(capsys, *argv, "--output", "json", "--perf")
+    assert code == 0
+    d = json.loads(out)
+    assert d.pop("wall_time_ms") >= 0
+    assert d == json.loads(plain)
+    assert "wall_time_ms" not in plain
+
+    _, plain, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--perf")
+    assert code == 0
+    assert out.startswith(plain)
+    assert re.fullmatch(r"ms: \d+\.?\d*\n", out[len(plain):])
+    assert "ms:" not in plain
+
+    _, plain, _ = run(capsys, *argv, "--output", "csv")
+    code, out, _ = run(capsys, *argv, "--output", "csv", "--perf")
+    assert code == 0
+    (plain_header, *plain_rows), (header, *rows) = (list(csv.reader(io.StringIO(t))) for t in (plain, out))
+    assert header == plain_header + ["ms"]
+    assert "ms" not in plain_header
+    assert len({row[-1] for row in rows}) == 1 and float(rows[0][-1]) >= 0
+    if plain_rows:  # the 48 members of the 2,4 census
+        assert [row[:-1] for row in rows] == plain_rows
+    else:  # an agreeing verify lists nothing, so one row holds only the time
+        assert rows[0][:-1] == ["", ""] and len(rows) == 1
+
+
 # -- table -------------------------------------------------------------------------
 
 
@@ -270,21 +305,21 @@ def test_table_rank2_pm_values(capsys):
 def test_table_budget_cell_does_not_fail_run(capsys):
     code, out, _ = run(capsys, "table", "--family", "2,2n", "--range", "1:3",
                        "--kind", "harborth", "--weights", "pm",
-                       "--node-budget", "500")
+                       "--node-budget", "300")  # 2,6 takes 464 nodes
     assert code == 0
     assert "BUDGET" in out
 
 
 def test_table_budget_is_per_row(capsys):
-    # each row fits 10,500 nodes (2,8 takes 10,474) while the four together take 11,504
+    # each row fits 5,000 nodes (2,8 takes 4,933) while the four together take 5,471
     code, out, _ = run(capsys, "table", "--family", "2,2n", "--range", "1:4",
                        "--kind", "harborth", "--weights", "pm",
-                       "--node-budget", "10500", "--output", "json")
+                       "--node-budget", "5000", "--output", "json")
     assert code == 0
     rows = json.loads(out)["rows"]
     nodes = [r["nodes_visited"] for r in rows]
     assert not any(r["budget_exceeded"] for r in rows)
-    assert max(nodes) <= 10_500 < sum(nodes) == 11_504
+    assert max(nodes) <= 5_000 < sum(nodes) == 5_471
 
 
 def test_table_csv_columns(capsys):
@@ -308,7 +343,7 @@ def test_table_json_schema(capsys):
 
 
 _BUDGET_TABLE = ("table", "--family", "2,2n", "--range", "1:4", "--kind", "harborth",
-                 "--weights", "pm", "--node-budget", "1000")  # 2,8 takes 10,474 nodes
+                 "--weights", "pm", "--node-budget", "1000")  # 2,8 takes 4,933 nodes
 
 
 def test_table_perf_times_each_searched_row(capsys):

@@ -368,6 +368,134 @@ def test_room_bounds_every_failing_extension(spec):
     assert tight > 0, spec
 
 
+# -- live masks ----------------------------------------------------------------------
+
+
+_MASKED_KINDS = (ConstantKind.HARBORTH, ConstantKind.EGZ, ConstantKind.ETA, ConstantKind.DAVENPORT)
+
+
+def _no_unit(e):
+    """A weight set modulo e that holds no unit: the nonzero non-units, or {0}."""
+    return WeightSet.of(e, [w for w in range(1, e) if math.gcd(w, e) > 1] or [0])
+
+
+def _oracle_forbids(kind, seq, w):
+    """Whether seq has the zero-sum the kind forbids, by the independent oracles."""
+    e = seq.group.exponent
+    if kind in (ConstantKind.HARBORTH, ConstantKind.EGZ):
+        return oracle_has_weighted_zero_of_length(seq, w, e)
+    return oracle_has_weighted_zero_up_to(seq, w, e if kind is ConstantKind.ETA else seq.length)
+
+
+@pytest.mark.parametrize("spec", ["2,6", "3,3", "8", "2,2,2"])
+def test_dead_masks_hold_only_rejected_children(spec):
+    # along seeded random live sequences, a child in dead(state) is rejected
+    # by push, and the oracle on the unscaled weights finds the zero-sum it
+    # closes; under pm and classic every other child is pushed, and push
+    # agrees with the oracle on every child
+    g = parse_group(spec)
+    e = g.exponent
+    rng = random.Random(f"dead masks {spec}")
+    no_unit = _no_unit(e)
+    for w in [pm(e), classic(e), WeightSet.of(e, [1, 2]), no_unit]:
+        exact = w in (pm(e), classic(e))
+        for kind in _MASKED_KINDS:
+            start, init, push, dead, _ = engine._walk_parts(kind, g, w)
+            assert start == g.full_mask
+            if w == no_unit:
+                assert dead is None, (spec, kind)
+                continue
+            for _ in range(6):
+                state, terms = init, []
+                while True:
+                    mask = dead(state)
+                    live = []
+                    for t in range(g.order):
+                        new = push(state, t)
+                        seq = Sequence.from_indices(g, terms + [t])
+                        if mask >> t & 1:
+                            assert new is None, (spec, w, kind, terms, t)
+                            assert _oracle_forbids(kind, seq, w), (spec, w, kind, terms, t)
+                        elif exact:
+                            assert new is not None, (spec, w, kind, terms, t)
+                            assert not _oracle_forbids(kind, seq, w), (spec, w, kind, terms, t)
+                        if new is not None and (kind is not ConstantKind.HARBORTH or t not in terms):
+                            live.append((t, new))
+                    if not live or len(terms) == 6:
+                        break
+                    t, state = rng.choice(live)
+                    terms.append(t)
+
+
+@pytest.mark.parametrize("spec", ["2,4", "2,6", "3,3", "7"])
+def test_live_masks_bound_every_failing_extension(spec):
+    # every live harborth chain the walk reaches has a mask at least as large
+    # as its longest failing extension, found by subset listing and the oracle
+    # alone; the bound is attained by some chain with a nonempty mask
+    g = parse_group(spec)
+    e = g.exponent
+    tight = 0
+    for w in [pm(e), classic(e)]:
+        @functools.cache
+        def fails(terms):
+            return not oracle_terms_have_zero_of_length(g, w, terms, e)
+
+        @functools.cache
+        def longest(terms):
+            # a chain runs downward, so an extension adds terms below its last
+            return max((1 + longest(terms + (t,)) for t in range(terms[-1]) if fails(terms + (t,))), default=0)
+
+        start, init, push, dead, _ = engine._walk_parts(ConstantKind.HARBORTH, g, w)
+        stack = [((), init, start & ~dead(init))]
+        while stack:
+            terms, state, live = stack.pop()
+            if terms:
+                bound = longest(terms)
+                assert bound <= live.bit_count(), (spec, w, terms)
+                tight += bound == live.bit_count() > 0
+            for c in range(g.order):
+                if live >> c & 1:
+                    new = push(state, c)
+                    assert (new is not None) == fails(terms + (c,)), (spec, w, terms, c)
+                    if new is not None:
+                        stack.append((terms + (c,), new, live & ((1 << c) - 1) & ~dead(new)))
+    assert tight > 0, spec
+
+
+def test_masked_walks_push_no_dead_child(monkeypatch):
+    # a node is one push; davenport and eta never push 0 (w*0 = 0 is a
+    # zero-sum of length 1), and under pm and classic weights no push, in a
+    # value walk or a census walk, is rejected
+    pushes = []
+    walk_parts = engine._walk_parts
+
+    def spying(kind, group, weights):
+        start, init, push, dead, room = walk_parts(kind, group, weights)
+
+        def spy(state, c):
+            new = push(state, c)
+            pushes.append((c, new is None))
+            return new
+
+        return start, init, spy, dead, room
+
+    monkeypatch.setattr(engine, "_walk_parts", spying)
+    for kind, spec in [(ConstantKind.DAVENPORT, "2,12"), (ConstantKind.ETA, "2,6")]:
+        pushes.clear()
+        g = parse_group(spec)
+        report = compute_constant(kind, g, classic(g.exponent))
+        assert len(pushes) == report.nodes_visited
+        assert all(c != 0 for c, _ in pushes), (kind, spec)
+    for spec in ["2,4", "2,6", "3,3", "8", "2,2,2"]:
+        g = parse_group(spec)
+        for w in [pm(g.exponent), classic(g.exponent)]:
+            for kind in _MASKED_KINDS:
+                for search in (compute_constant, failing_census):
+                    pushes.clear()
+                    search(kind, g, w)
+                    assert pushes and not any(rejected for _, rejected in pushes), (spec, w, kind)
+
+
 # -- witness contracts -------------------------------------------------------------
 
 
@@ -514,16 +642,17 @@ def test_value_search_is_one_walk():
     # one walk with one cap: no shorter-capped round is walked and thrown away
     r = eta(parse_group("2,2,2,2"), classic(2))
     assert r.value == 16
-    assert r.nodes_visited == 98_302
+    assert r.nodes_visited == 32_767  # one push per zero-sum-free chain
     assert r.witness == Sequence.full_squarefree(parse_group("2,2,2,2")).remove_index(0)
 
 
 def test_room_bound_prunes_nonempty_sum_walks():
     # a chain whose sums leave no room to beat the best is not extended;
-    # without the room bound these walks took 535,715 and 309,570 nodes
+    # without the room bound these walks took 535,715 and 309,570 nodes, and
+    # davenport 140,509 before its live masks
     g = parse_group("2,12")
     r = davenport(g, classic(12))
-    assert (r.value, r.witness.literal(), r.nodes_visited) == (13, "(1,0);(0,1)^11", 140_509)
+    assert (r.value, r.witness.literal(), r.nodes_visited) == (13, "(1,0);(0,1)^11", 56_555)
     g = parse_group("4,8")
     r = critical_number(g)
     assert (r.value, r.nodes_visited) == (16, 85_186)
@@ -541,10 +670,10 @@ def test_budget_exceeded():
     assert exc.value.budget == 500
 
 
-@pytest.mark.parametrize("budget, raised", [(500, 501), (100_000, 100_001),
-                                            (157_712, 157_713), (157_713, None)])
+@pytest.mark.parametrize("budget, raised", [(500, 501), (50_000, 50_001),
+                                            (74_038, 74_039), (74_039, None)])
 def test_budget_is_global_across_roots(budget, raised):
-    # harborth 2,10 pm needs 157,713 nodes in all, spread over 20 roots
+    # harborth 2,10 pm needs 74,039 nodes in all, spread over 20 roots
     g, w = parse_group("2,10"), pm(10)
     if raised is None:
         assert harborth(g, w, node_budget=budget).nodes_visited == budget
