@@ -14,29 +14,46 @@ nonempty weighted subsums) and its live mask, the element indices it may
 still push (``_walk``, ``_walk_parts``).  A state that shows a forbidden
 zero-sum, or sums covering G, is dead, and so is every extension, which is
 what keeps the walk far below the raw binomial counts; a child the state
-already rules out is left out of the mask and never pushed.  A squarefree
-chain whose mask, or a davenport or critical chain whose nonempty sums
-(``_nonempty_engine``), leave it no room to beat the best is not extended.
-A value search records each chain longer than the best so far, so its
-first chain of the maximal length is the colex-least witness.  A census
-runs the same walk but keeps the chains that tie the best so far, starting
-over whenever the best grows, so at the end it holds every failing sequence
-of the maximal length, in colex order, with the witness first.
+already rules out is left out of the mask and never pushed.  A chain whose
+mask holds too few terms, or a davenport or critical chain whose nonempty
+sums (``_nonempty_engine``) leave too little room, to beat the best is not
+extended.
 
-Determinism contract: every search, a census included, is one sequential
-walk whose nodes depend only on the search inputs.  Roots (topmost elements)
-go in element order, and one bound, the best length so far, carries from
-root to root.  One node budget covers the walk, and the walk stops at the
-first node past it, so node counts, witnesses and budget aborts are
-byte-stable across runs.  Reports carry no timing, so two identical
-searches return equal reports; the CLI times its calls for ``--perf``.
+The walk runs over weight classes, not elements (``_classes``).  For u in
+U_W, the units u with u*W = W (u = -1 for pm), replacing a term g by u*g
+keeps every weighted sum, so whether a sequence fails depends only on the
+multiset of its terms' U_W-orbits, and the walk uses one representative per
+orbit, the orbit's top index.  A squarefree kind may use an orbit's members
+from the top down, as many as it has.  Under classic weights, on groups of
+exponent 2, and for the critical number every orbit is one element, and the
+class walk is the element walk.  Walks record each chain longer than the
+best so far, so the first chain of the maximal length is colex-least among
+the chains walked; a census keeps the chains that tie the best so far,
+starting over whenever the best grows.
+
+Determinism contract: a value search is one class walk that finds the
+maximal failing length L, then, when some orbit has more than one member,
+one probe over the elements for L, whose first chain is the colex-least
+witness.  A census is one class walk that keeps its ties, each lifted to
+every failing sequence it stands for (``_lift``) and sorted into colex
+order, with the witness first; with one-element orbits the lift is the
+walk's own hits.  Every walk is sequential, and its nodes depend only on
+the search inputs.  Roots (topmost elements) go in index order, and one
+bound, the best length so far, carries from root to root.  One node budget
+covers the class walk and the probe, which counts on from the class walk's
+total, and a walk stops at the first node past it, so node counts,
+witnesses and budget aborts are byte-stable across runs.  Reports carry no
+timing, so two identical searches return equal reports; the CLI times its
+calls for ``--perf``.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 from typing import Iterable
 
@@ -173,70 +190,90 @@ def _nonempty_engine(group: GroupSpec, weights: WeightSet, dead_mask: int):
 # -- the walker -------------------------------------------------------------------
 
 
-def _walk(start: int, init_state, push, *, dead=None, best: int, cap: int, squarefree: bool,
-          ties: bool, budget: int, room=None):
+def _walk(start: int, init_state, push, *, unlock, levels, dead=None, best: int, cap: int,
+          ties: bool, budget: int, room=None, spent: int = 0):
     """Walk every live chain, one topmost element after another.
 
-    A chain is a run of element indices, strictly decreasing when
-    ``squarefree`` and nonincreasing otherwise, so chains come out in colex
-    order.  Each node holds its live mask, the element indices it may still
-    push, and pushes only those, lowest first.  The root's mask is ``start``;
-    a child's is its parent's mask below it (at or below it when not
-    ``squarefree``) less ``dead(state)``, a set of children that every push
-    on the child's state would reject.  Dead sets only grow along a chain,
-    so the mask holds every term any extension can add.
+    A chain is a nonincreasing run of element indices, so chains come out
+    in colex order.  Each node holds its live mask, the element indices it
+    may still push, and pushes only those, lowest first.  The root's mask is
+    ``start``; a child pushed as index c takes its parent's mask below c,
+    adds ``unlock[c]`` (c itself for a multiset, the next lower member of
+    c's orbit for a class walk of a squarefree kind, else nothing; see
+    ``_classes``), and drops ``dead(state)``, a set of children that every
+    push on the child's state would reject.  Dead sets only grow along a
+    chain, so the mask holds every term any extension can add.
+
+    A term's capacity is how many times a chain may still use it and the
+    members it unlocks: 1, plus one for each ``levels[j]`` that holds it.
+    ``levels`` is ``None`` for a multiset, whose terms repeat without end.
+    Otherwise a chain gains at most the capacity of its mask, so a child
+    whose mask below it, with its own unlocks, holds too little capacity to
+    beat ``best`` (with ``ties``, to reach it) is skipped unpushed, and a
+    live chain of length n is extended only when n plus its mask's capacity
+    can still beat ``best``; so is any chain with ``n + room(state)`` below
+    that, when ``room`` bounds how many terms a chain can still gain
+    (``_nonempty_engine`` gives it for davenport and the critical number).
 
     The walk records the first chain longer than ``best`` each time it
     finds one, and ``best`` carries over from one root to the next; a chain
-    of length ``cap`` sets ``best`` and ends the walk.  A squarefree child
-    with fewer live positions below it than it needs to beat ``best`` (with
-    ``ties``, to reach it) is skipped unpushed, and a live squarefree chain
-    of length n is extended only when n plus the size of its mask can still
-    beat ``best``; so is any chain with ``n + room(state)`` below that,
-    when ``room`` bounds how many terms a chain can still gain
-    (``_nonempty_engine`` gives it for davenport and the critical number).
-    With ``ties`` every live chain of length ``best`` is a hit, and the hits
-    start over whenever ``best`` grows.
+    of length ``cap`` sets ``best`` and ends the walk.  With ``ties`` every
+    live chain of length ``best`` is a hit, and the hits start over
+    whenever ``best`` grows.
 
     A value search starts at ``best = 0`` with a cap no failing chain can
-    reach, and with ``ties`` its final hits are the census: every live chain
-    of the longest length in colex order (the empty chain if none is
-    longer).  A probe for length L starts at ``best = L - 1`` with
-    ``cap = L`` and stops at the first chain that reaches L.
+    reach, and with ``ties`` its final hits are every live chain of the
+    longest length in colex order (the empty chain if none is longer).  A
+    probe for length L starts at ``best = L - 1`` with ``cap = L`` and stops
+    at the first chain that reaches L.
 
-    A node is one push.  The walk counts its nodes from 0 and raises
-    ``SearchBudgetExceeded`` at the first node that takes the count past
-    ``budget``.  It recurses once per term, so the recursion limit is raised
-    by ``cap`` while it runs.
+    A node is one push.  The walk counts its nodes on from ``spent`` and
+    raises ``SearchBudgetExceeded`` at the first node that takes the count
+    past ``budget``.  It recurses once per term, so the recursion limit is
+    raised by ``cap`` while it runs.
 
     Returns ``(length, witness, hits, nodes)``: the longest chain found with
     its length (the first, so colex-least; ``None`` if none beat ``best``),
-    the hits, and the walk's node count.
+    the hits, and the node count at the end of the walk.
     """
-    nodes = 0
+    nodes = spent
     hits: list[tuple[int, ...]] = [()] if ties else []
     chain = [0] * cap  # chain[i] is the (i+1)-th term of the chain being grown
     best_chain = None
     reach = 1 if ties else 0  # with ties a chain only has to reach best, not beat it
+    if levels is None:
+        capacity = None
+    elif not levels:
+        capacity = int.bit_count
+    else:
+        def capacity(mask: int) -> int:
+            uses = mask.bit_count()
+            for level in levels:
+                uses += (mask & level).bit_count()
+            return uses
 
     def grow(state, size: int, live: int) -> bool:
         """Push each child in the live mask after the chain; True ends the walk."""
         nonlocal nodes, best, best_chain, hits
         n = size + 1
         todo = live
-        trimmed = -1  # the best the squarefree mask was last trimmed for
+        trimmed = -1  # the best the mask was last trimmed for
         while todo:
-            if squarefree and best != trimmed:
-                # skip the children with fewer than t live positions below
-                # them, as a chain through one needs t more terms; a
-                # position below t has fewer than t below it
+            if capacity is not None and best != trimmed:
+                # skip the children that cannot gain the t more terms a
+                # chain through one needs: after c a chain gains at most the
+                # capacity of the mask at or below c, less the one use of c
+                # itself; a position below t has fewer than t below it
                 trimmed, t = best, best - size - reach
                 if t > 0:
                     todo &= -1 << t
-                    below = (live ^ todo).bit_count()
-                    while below < t and todo:
-                        todo &= todo - 1
-                        below += 1
+                    below = capacity(live ^ todo)
+                    while todo:
+                        low = todo & -todo
+                        below += capacity(low)
+                        if below > t:
+                            break
+                        todo ^= low
                     if not todo:
                         break
             low = todo & -todo
@@ -260,10 +297,10 @@ def _walk(start: int, init_state, push, *, dead=None, best: int, cap: int, squar
             need = best + 1 - reach - n  # terms an extension still needs
             if room is not None and room(new) < need:
                 continue
-            child = live & (low - 1 if squarefree else (low << 1) - 1)
+            child = (live & (low - 1)) | unlock[c]
             if dead is not None:
                 child &= ~dead(new)
-            if child and (not squarefree or child.bit_count() >= need) and grow(new, n, child):
+            if child and (capacity is None or capacity(child) >= need) and grow(new, n, child):
                 return True
         return False
 
@@ -299,6 +336,67 @@ def _unit_scaled(weights: WeightSet) -> WeightSet | None:
     return WeightSet.of(m, [-pow(u, -1, m) * w for w in weights.classes])
 
 
+def _stabiliser(weights: WeightSet | None) -> tuple[int, ...]:
+    """U_W, the units u modulo exp with u*W = W: (1, -1) for pm, (1,) for
+    classic and for the critical number, which takes no weights."""
+    if weights is None:
+        return (1,)
+    m, ws = weights.modulus, set(weights.classes)
+    return tuple(u for u in range(1, m) if gcd(u, m) == 1 and {u * w % m for w in ws} == ws) or (1,)
+
+
+def _classes(group: GroupSpec, units: tuple[int, ...], start: int, multiset: bool):
+    """The class walk over the ``units``-orbits of ``start`` as
+    ``(tops, unlock, levels, orbit)``; ``orbit[c]`` is c's orbit, top first.
+
+    Soundness: for u in U_W (``_stabiliser``), u*W = W, so a term g and u*g
+    have the same weighted multiples {w*g}, and replacing g by u*g keeps
+    every weighted sum of every subsequence.  So whether a sequence fails
+    depends only on the multiset of its terms' orbits, and each multiset of
+    orbits needs one representative.  The walk starts from the orbits' top
+    indices, ``tops``.  A multiset kind unlocks c itself (``unlock[c]``), so
+    a top repeats as often as a chain likes, and has no levels.  A
+    squarefree kind may use up to k members of an orbit of size k, taken
+    from the top down: pushing a member unlocks the next lower one, and
+    ``levels[j]`` holds the indices with more than j members of their orbit
+    below them, so the capacity ``_walk`` counts for an orbit's top is the
+    orbit's size.  Either way each multiset of orbits is walked as exactly
+    one chain, and ``_lift`` turns that chain back into every failing
+    sequence it stands for.  With one-element orbits ``tops`` is ``start``,
+    nothing is unlocked but a multiset's own index, and the class walk is
+    the element walk.
+    """
+    n = group.order
+    orbit = [tuple(sorted({group.scale_index(u, c) for u in units}, reverse=True)) for c in range(n)]
+    tops = sum(1 << c for c in range(n) if start >> c & 1 and orbit[c][0] == c)
+    if multiset:
+        return tops, [1 << c for c in range(n)], None, orbit
+    unlock, levels = [0] * n, []
+    for c in range(n):
+        below = orbit[c][orbit[c].index(c) + 1:]
+        if below:
+            unlock[c] = 1 << below[0]
+        for j in range(len(below)):
+            if j == len(levels):
+                levels.append(0)
+            levels[j] |= 1 << c
+    return tops, unlock, tuple(levels), orbit
+
+
+def _lift(hits: list[tuple[int, ...]], orbit, multiset: bool) -> list[tuple[int, ...]]:
+    """Every failing chain from the class walk's representatives, in colex
+    order: an orbit of size k used m times lifts to the m-subsets of its
+    members (C(k, m) ways), or for a multiset to its size-m multisets."""
+    pick = combinations_with_replacement if multiset else combinations
+    lifted = []
+    for hit in hits:
+        used = Counter(orbit[c] for c in hit)
+        for parts in product(*(pick(members, m) for members, m in used.items())):
+            lifted.append(tuple(sorted((c for part in parts for c in part), reverse=True)))
+    lifted.sort()  # chains run downward, so plain tuple order is colex order
+    return lifted
+
+
 def _walk_parts(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None):
     """The kind's walk as ``(start, init_state, push, dead, room)``.
 
@@ -312,6 +410,12 @@ def _walk_parts(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None)
     (those that cover G) no row shows, and for a weight set with no unit;
     ``push`` stays the exact judge either way.  The critical number's
     ``start`` leaves out 0, which is never a term of a zero-free set.
+
+    ``start`` is over elements; ``_classes`` cuts it to one index per
+    U_W-orbit.  The masks stay exact there because every dead set is a
+    union of orbits: its members are sums of terms v*g with v in V, and for
+    u in U_W, u*V = V (V is a unit multiple of W), so u times such a sum is
+    another one.  Whenever one member of an orbit is dead, all are.
     """
     full = group.full_mask
     if kind is ConstantKind.CRITICAL:
@@ -366,10 +470,16 @@ def _compute(
     node_budget: int | None = None,
     want_census: bool = False,
 ) -> tuple[SearchReport, tuple[tuple[int, ...], ...] | None]:
-    """One walk: the report with the value and its colex-least witness, and
-    with ``want_census`` every failing sequence of the maximal length as an
-    ascending index tuple, in colex order, from the same walk kept open for
-    ties (else ``None``).  ``node_budget`` covers the walk."""
+    """The report with the value and its colex-least witness, and with
+    ``want_census`` every failing sequence of the maximal length as an
+    ascending index tuple, in colex order (else ``None``).
+
+    One class walk (``_classes``) finds the maximal failing length L.  When
+    some orbit has more than one member, the witness comes from a probe for
+    L over the elements, and a census from lifting the ties the class walk
+    kept (``_lift``); otherwise the class walk is the element walk and gives
+    both itself.  ``node_budget`` covers the class walk and the
+    probe together."""
     if kind is ConstantKind.CRITICAL:
         if weights is not None:
             raise SearchInputError("the critical number takes no weight set")
@@ -385,15 +495,25 @@ def _compute(
     node_budget = _node_budget(node_budget)
     exp = group.exponent
     start, init_state, push, dead, room = _walk_parts(kind, group, weights)
+    multiset = kind in (ConstantKind.EGZ, ConstantKind.ETA, ConstantKind.DAVENPORT)
+    tops, unlock, levels, orbit = _classes(group, _stabiliser(weights), start, multiset)
 
     # above every failing length: D(G) <= |G|, s(G) <= |G| + exp - 1, and a
     # squarefree chain has at most |G| terms; reaching it can only mean a bug
     cap = 4 * group.order + exp + 8
-    squarefree = kind in (ConstantKind.HARBORTH, ConstantKind.CRITICAL)
-    length, chain, hits, nodes = _walk(start, init_state, push, dead=dead, best=0, cap=cap,
-                                       squarefree=squarefree, ties=want_census, budget=node_budget,
-                                       room=room)
+    length, chain, hits, nodes = _walk(tops, init_state, push, unlock=unlock, levels=levels, dead=dead,
+                                       best=0, cap=cap, ties=want_census, budget=node_budget, room=room)
     _check(length < cap, f"failing lengths for {kind.value} on {group} stay below {cap}")
+    if tops != start:
+        if want_census:
+            hits = _lift(hits, orbit, multiset)
+            chain = hits[0]
+        elif length:
+            _, unlock, levels, _ = _classes(group, (1,), start, multiset)
+            found, chain, _, nodes = _walk(start, init_state, push, unlock=unlock, levels=levels, dead=dead,
+                                           best=length - 1, cap=length, ties=False, budget=node_budget,
+                                           room=room, spent=nodes)
+            _check(found == length, "the element probe finds the class walk's length")
 
     value = length + 1
     witness = Sequence.from_indices(group, chain or ())
@@ -477,8 +597,10 @@ def exists_failing_sequence(
     node_budget: int | None = None,
 ) -> bool:
     """Whether some length-``length`` sequence avoids weighted zero-sums at
-    every length in ``zero_lengths``.  Exhaustive up to dead-branch pruning;
-    the walk stops at the first such sequence."""
+    every length in ``zero_lengths``.  One class walk (``_classes``) over a
+    kernel on ``_unit_scaled`` weights, whose rows j - 1 for j in
+    ``zero_lengths`` list the children that close a zero-sum of length j;
+    it stops at the first such sequence."""
     zl = tuple(sorted(set(int(j) for j in zero_lengths)))
     if not zl or zl[0] < 1:
         raise SearchInputError("zero_lengths must be positive")
@@ -500,6 +622,17 @@ def exists_failing_sequence(
         # a failing multiset of length N*(cap-1) + 1 repeats some term cap
         # times, and more copies of it leave rows 0..cap as they are
         length = min(length, group.order * max(cap, 1) + 1)
-    init_state, push = subsum_kernel(group, weights, cap, zl)
-    return _walk(group.full_mask, init_state, push, best=length - 1, cap=length, squarefree=squarefree,
-                 ties=False, budget=node_budget)[0] == length
+    scaled = _unit_scaled(weights)
+    init_state, push = subsum_kernel(group, scaled or weights, cap, zl)
+    full = group.full_mask
+    shifts = tuple((j - 1) * group.order for j in zl)
+
+    def dead(word: int) -> int:
+        rows = 0
+        for shift in shifts:
+            rows |= word >> shift
+        return rows & full
+
+    tops, unlock, levels, _ = _classes(group, _stabiliser(weights), full, not squarefree)
+    return _walk(tops, init_state, push, unlock=unlock, levels=levels, dead=dead if scaled and zl else None,
+                 best=length - 1, cap=length, ties=False, budget=node_budget)[0] == length

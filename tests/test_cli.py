@@ -305,21 +305,21 @@ def test_table_rank2_pm_values(capsys):
 def test_table_budget_cell_does_not_fail_run(capsys):
     code, out, _ = run(capsys, "table", "--family", "2,2n", "--range", "1:3",
                        "--kind", "harborth", "--weights", "pm",
-                       "--node-budget", "300")  # 2,6 takes 464 nodes
+                       "--node-budget", "200")  # 2,6 takes 266 nodes
     assert code == 0
     assert "BUDGET" in out
 
 
 def test_table_budget_is_per_row(capsys):
-    # each row fits 5,000 nodes (2,8 takes 4,933) while the four together take 5,471
+    # each row fits 1,200 nodes (2,8 takes 1,164) while the four together take 1,486
     code, out, _ = run(capsys, "table", "--family", "2,2n", "--range", "1:4",
                        "--kind", "harborth", "--weights", "pm",
-                       "--node-budget", "5000", "--output", "json")
+                       "--node-budget", "1200", "--output", "json")
     assert code == 0
     rows = json.loads(out)["rows"]
     nodes = [r["nodes_visited"] for r in rows]
     assert not any(r["budget_exceeded"] for r in rows)
-    assert max(nodes) <= 5_000 < sum(nodes) == 5_471
+    assert max(nodes) <= 1_200 < sum(nodes) == 1_486
 
 
 def test_table_csv_columns(capsys):
@@ -343,7 +343,7 @@ def test_table_json_schema(capsys):
 
 
 _BUDGET_TABLE = ("table", "--family", "2,2n", "--range", "1:4", "--kind", "harborth",
-                 "--weights", "pm", "--node-budget", "1000")  # 2,8 takes 4,933 nodes
+                 "--weights", "pm", "--node-budget", "1000")  # 2,8 takes 1,164 nodes
 
 
 def test_table_perf_times_each_searched_row(capsys):

@@ -496,6 +496,83 @@ def test_masked_walks_push_no_dead_child(monkeypatch):
                     assert pushes and not any(rejected for _, rejected in pushes), (spec, w, kind)
 
 
+# -- class walks ---------------------------------------------------------------------
+
+
+def _element_walk(kind, g, w, ties):
+    """The walk over elements, with no classes: ``(length, hits, nodes)``,
+    the hits (with ``ties``, else the first longest chain alone) as
+    ascending tuples in walk order."""
+    start, init, push, dead, room = engine._walk_parts(kind, g, w)
+    if kind is ConstantKind.HARBORTH:
+        unlock, levels = [0] * g.order, ()
+    else:
+        unlock, levels = [1 << c for c in range(g.order)], None
+    length, chain, hits, nodes = engine._walk(start, init, push, unlock=unlock, levels=levels, dead=dead, best=0,
+                                              cap=4 * g.order + g.exponent + 8, ties=ties, budget=10**9, room=room)
+    return length, [h[::-1] for h in hits] if ties else [(chain or ())[::-1]], nodes
+
+
+def _class_walk_cases():
+    for spec in ("3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "2,2", "2,4", "2,6", "2,8",
+                 "3,3", "4,4", "2,2,2"):
+        e = parse_group(spec).exponent
+        wspecs = dict.fromkeys(["pm", "classic"] + (["1,3,5,7", "2,6"] if e == 8 else []))
+        for wspec in wspecs:
+            for kind in _MASKED_KINDS:
+                # an egz element walk on a larger group takes seconds
+                if kind is not ConstantKind.EGZ or parse_group(spec).order <= 9 or (spec, wspec) in (
+                        ("2,6", "pm"), ("4,4", "pm")):
+                    yield kind, spec, wspec
+
+
+@pytest.mark.parametrize("kind, spec, wspec", list(_class_walk_cases()))
+def test_class_walk_matches_the_element_walk(kind, spec, wspec):
+    # the class walk with its probe, and the census lifted from its ties,
+    # give the element walk's value, colex-least witness and census; when
+    # every class is one element the class walk is the element walk, node
+    # for node
+    g = parse_group(spec)
+    w = WeightSet.parse(wspec, g.exponent)
+    length, hits, census_nodes = _element_walk(kind, g, w, ties=True)
+    _, (witness,), nodes = _element_walk(kind, g, w, ties=False)
+    report = compute_constant(kind, g, w)
+    census_report, census = engine.failing_census_indices(kind, g, w)
+    assert report.value == census_report.value == length + 1
+    assert report.witness == census_report.witness == Sequence.from_indices(g, witness)
+    assert list(census) == hits and hits[0] == witness
+    if engine._stabiliser(w) == (1,):
+        assert (report.nodes_visited, census_report.nodes_visited) == (nodes, census_nodes)
+
+
+def test_classes_of_plus_minus_and_unit_weights():
+    # pm pairs g with -g; all units of Z/8 make classes of size 4; {2,6}
+    # holds no unit but is kept by every unit; classic keeps one element each
+    g = parse_group("8")
+    assert engine._stabiliser(pm(8)) == (1, 7)
+    assert engine._stabiliser(WeightSet.of(8, [1, 3, 5, 7])) == (1, 3, 5, 7)
+    assert engine._stabiliser(WeightSet.of(8, [2, 6])) == (1, 3, 5, 7)
+    assert engine._stabiliser(classic(8)) == engine._stabiliser(None) == (1,)
+    tops, unlock, levels, orbit = engine._classes(g, (1, 3, 5, 7), g.full_mask, multiset=False)
+    assert tops == 1 << 0 | 1 << 4 | 1 << 6 | 1 << 7
+    assert orbit[3] == (7, 5, 3, 1) and orbit[2] == (6, 2)
+    assert [unlock[c].bit_length() - 1 for c in (7, 5, 3, 1, 6, 2, 4, 0)] == [5, 3, 1, -1, 2, -1, -1, -1]
+    assert levels == (1 << 7 | 1 << 5 | 1 << 3 | 1 << 6, 1 << 7 | 1 << 5, 1 << 7)
+    tops, unlock, levels, _ = engine._classes(g, (1, 7), g.full_mask, multiset=True)
+    assert tops == 0b11110001 and levels is None and unlock == [1 << c for c in range(8)]
+
+
+def test_lift_counts_every_member_of_a_class():
+    # an orbit of size k used m times lifts to C(k, m) sets, or to
+    # C(k + m - 1, m) multisets; the lifts come out in colex order
+    orbit = [(0,), (3, 2, 1), (3, 2, 1), (3, 2, 1)]
+    sets = engine._lift([(3, 2, 0)], orbit, multiset=False)
+    assert sets == [(2, 1, 0), (3, 1, 0), (3, 2, 0)]
+    multisets = engine._lift([(3, 3, 0), (3, 0, 0)], orbit, multiset=True)
+    assert len(multisets) == math.comb(4, 2) + 3
+    assert multisets == sorted(multisets) and (1, 1, 0) in multisets and (3, 0, 0) in multisets
+
+
 # -- witness contracts -------------------------------------------------------------
 
 
@@ -524,13 +601,15 @@ def test_witness_subsequences_also_fail():
 
 
 # 8 and 2,2,2 only for the nonempty-sum kinds, whose walks prune by room;
-# a critical set on 2,2,2 can have 0 among its sums (the stabiliser case)
+# a critical set on 2,2,2 can have 0 among its sums (the stabiliser case).
+# Every unit of Z/8 keeps {1,3,5,7}, so its classes on 8 have up to 4 members
 _CENSUS_CASES = [(kind, spec, wspec)
                  for spec in ("2,2", "4", "6", "2,4", "3,3", "8", "2,2,2")
                  for kind in ConstantKind
                  if spec not in ("8", "2,2,2") or kind in (ConstantKind.DAVENPORT, ConstantKind.CRITICAL)
                  for wspec in ((None,) if kind is ConstantKind.CRITICAL
-                               else ("classic",) if spec in ("2,2", "2,2,2") else ("classic", "pm"))]
+                               else ("classic",) if spec in ("2,2", "2,2,2") else ("classic", "pm"))
+                 ] + [(ConstantKind.DAVENPORT, "8", "1,3,5,7"), (ConstantKind.ETA, "8", "1,3,5,7")]
 
 
 @pytest.mark.parametrize("kind, spec, wspec", _CENSUS_CASES)
@@ -638,12 +717,34 @@ def test_cap_overrun_is_an_internal_error(monkeypatch):
         egz(parse_group("2"), classic(2))
 
 
-def test_value_search_is_one_walk():
-    # one walk with one cap: no shorter-capped round is walked and thrown away
+def _walk_ends(monkeypatch):
+    """Spy on ``engine._walk``: the returned list gets the running node
+    total at the end of each walk."""
+    ends = []
+    walk = engine._walk
+
+    def recording(*args, **kwargs):
+        out = walk(*args, **kwargs)
+        ends.append(out[3])
+        return out
+
+    monkeypatch.setattr(engine, "_walk", recording)
+    return ends
+
+
+def test_value_search_is_one_walk(monkeypatch):
+    # one class walk with one cap: no shorter-capped round is walked and
+    # thrown away; when some class has more than one element, one probe
+    # over the elements follows it for the witness, and counts on from it
+    ends = _walk_ends(monkeypatch)
     r = eta(parse_group("2,2,2,2"), classic(2))
     assert r.value == 16
-    assert r.nodes_visited == 32_767  # one push per zero-sum-free chain
+    assert ends == [r.nodes_visited] == [32_767]  # one push per zero-sum-free chain
     assert r.witness == Sequence.full_squarefree(parse_group("2,2,2,2")).remove_index(0)
+    ends.clear()
+    r = harborth(parse_group("2,6"), pm(6))
+    assert r.value == 8
+    assert ends == [134, r.nodes_visited] == [134, 266]
 
 
 def test_room_bound_prunes_nonempty_sum_walks():
@@ -670,10 +771,11 @@ def test_budget_exceeded():
     assert exc.value.budget == 500
 
 
-@pytest.mark.parametrize("budget, raised", [(500, 501), (50_000, 50_001),
-                                            (74_038, 74_039), (74_039, None)])
+@pytest.mark.parametrize("budget, raised", [(500, 501), (5_000, 5_001),
+                                            (13_391, 13_392), (13_392, None)])
 def test_budget_is_global_across_roots(budget, raised):
-    # harborth 2,10 pm needs 74,039 nodes in all, spread over 20 roots
+    # harborth 2,10 pm needs 13,392 nodes in all: 6,303 in a class walk over
+    # 12 roots, then 7,089 in the element probe
     g, w = parse_group("2,10"), pm(10)
     if raised is None:
         assert harborth(g, w, node_budget=budget).nodes_visited == budget
@@ -692,51 +794,71 @@ def test_budget_is_global_across_roots(budget, raised):
     (ConstantKind.CRITICAL, "2,2,2", None),
 ])
 def test_budget_counts_the_value_walk_and_the_census_scan(kind, spec, wspec, monkeypatch):
-    # the value and the census come from one walk, so the budget is one count
+    # a census is one class walk, so its budget is one count; a value search
+    # is the class walk and, when some class has more than one element, an
+    # element probe, and one budget covers both
     g = parse_group(spec)
     w = WeightSet.parse(wspec, g.exponent) if wspec else None
-    ends = []  # the running node total after each walk
-    walk = engine._walk
-
-    def recording(*args, **kwargs):
-        out = walk(*args, **kwargs)
-        ends.append(out[3])
-        return out
-
-    monkeypatch.setattr(engine, "_walk", recording)
+    ends = _walk_ends(monkeypatch)
     report, census = failing_census(kind, g, w)
-    monkeypatch.undo()
     assert ends == [report.nodes_visited]
     assert census[0] == report.witness
-    # the first node, a middle node, the very last node
-    total = ends[0]
-    for budget in (0, total // 2, total - 1):
-        with pytest.raises(SearchBudgetExceeded) as exc:
-            failing_census(kind, g, w, node_budget=budget)
-        assert exc.value.nodes == budget + 1
-    again, again_census = failing_census(kind, g, w, node_budget=total)
+    ends.clear()
+    value_report = compute_constant(kind, g, w)
+    monkeypatch.undo()
+    probed = wspec == "pm" and g.exponent > 2
+    assert len(ends) == 1 + probed and ends[-1] == value_report.nodes_visited
+    assert (value_report.value, value_report.witness) == (report.value, report.witness)
+    for search, total in ((failing_census, report.nodes_visited), (compute_constant, ends[-1])):
+        # the first node, a middle node, the very last node
+        for budget in (0, total // 2, total - 1):
+            with pytest.raises(SearchBudgetExceeded) as exc:
+                search(kind, g, w, node_budget=budget)
+            assert exc.value.nodes == budget + 1
+    again, again_census = failing_census(kind, g, w, node_budget=report.nodes_visited)
     assert again.to_dict() == report.to_dict() and again_census == census
+    assert compute_constant(kind, g, w, node_budget=ends[-1]).to_dict() == value_report.to_dict()
+
+
+@pytest.mark.parametrize("kind, spec", [(ConstantKind.HARBORTH, "2,8"), (ConstantKind.EGZ, "2,4"),
+                                        (ConstantKind.DAVENPORT, "2,6")])
+def test_budget_runs_out_inside_the_probe(kind, spec, monkeypatch):
+    # the probe counts on from the class walk's total, so a budget that runs
+    # out in the probe still aborts at node budget + 1, and the class walk's
+    # nodes plus the probe's are exactly enough
+    g = parse_group(spec)
+    w = pm(g.exponent)
+    ends = _walk_ends(monkeypatch)
+    report = compute_constant(kind, g, w)
+    monkeypatch.undo()
+    classes, total = ends
+    assert classes < total == report.nodes_visited
+    for budget in (classes, (classes + total) // 2, total - 1):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            compute_constant(kind, g, w, node_budget=budget)
+        assert exc.value.nodes == budget + 1
+    assert compute_constant(kind, g, w, node_budget=total) == report
 
 
 def test_budget_bounds_exists_failing_sequence():
     # no length-7 sequence on 2,4 avoids pm zero-sums of length 4: the probe
-    # walks all 8 roots, 1,607 nodes in all and at most 635 in one root
+    # walks all 6 class roots, 291 nodes in all
     g = parse_group("2,4")
-    for budget in (10, 1_000, 1_606):
+    for budget in (10, 200, 290):
         with pytest.raises(SearchBudgetExceeded) as exc:
             exists_failing_sequence(g, pm(4), 7, [4], node_budget=budget)
         assert exc.value.nodes == budget + 1
-    assert exists_failing_sequence(g, pm(4), 7, [4], node_budget=1_607) is False
+    assert exists_failing_sequence(g, pm(4), 7, [4], node_budget=291) is False
 
 
 def test_exists_failing_sequence_stops_at_the_first_hit():
     # a length-6 sequence on 2,4 avoiding pm zero-sums of length 4 turns up
-    # at node 145, and the walk ends there instead of trying the other roots
+    # at node 90, and the walk ends there instead of trying the other roots
     g = parse_group("2,4")
-    assert exists_failing_sequence(g, pm(4), 6, [4], node_budget=145) is True
+    assert exists_failing_sequence(g, pm(4), 6, [4], node_budget=90) is True
     with pytest.raises(SearchBudgetExceeded) as exc:
-        exists_failing_sequence(g, pm(4), 6, [4], node_budget=144)
-    assert exc.value.nodes == 145
+        exists_failing_sequence(g, pm(4), 6, [4], node_budget=89)
+    assert exc.value.nodes == 90
 
 
 def test_exists_failing_sequence_ignores_zero_lengths_above_length(monkeypatch):
@@ -752,7 +874,7 @@ def test_exists_failing_sequence_ignores_zero_lengths_above_length(monkeypatch):
         return kernel(group, weights, cap, zero_lengths)
 
     monkeypatch.setattr(engine, "subsum_kernel", bounded_kernel)
-    for length, expect, nodes in ((6, True, 145), (7, False, 1_607)):
+    for length, expect, nodes in ((6, True, 90), (7, False, 291)):
         assert exists_failing_sequence(g, pm(4), length, [4, 10**9], node_budget=nodes) is expect
         with pytest.raises(SearchBudgetExceeded) as exc:
             exists_failing_sequence(g, pm(4), length, [4, 10**9], node_budget=nodes - 1)
@@ -793,12 +915,14 @@ def test_exists_failing_sequence_refuses_bad_input():
 
 def test_exists_failing_sequence_on_long_multiset_lengths():
     # without a 0 term nothing has a zero-sum of length 1, so any length
-    # fails; the walk used to recurse once per term and raise RecursionError
+    # fails; the walk used to recurse once per term and raise RecursionError.
+    # 0 is in the dead mask, so the walk pushes 1 seven times, up to the
+    # clamp N*cap + 1 = 7
     g, w = parse_group("6"), classic(6)
-    assert exists_failing_sequence(g, w, 5000, [1], node_budget=14) is True
+    assert exists_failing_sequence(g, w, 5000, [1], node_budget=7) is True
     with pytest.raises(SearchBudgetExceeded) as exc:
-        exists_failing_sequence(g, w, 5000, [1], node_budget=13)
-    assert exc.value.nodes == 14
+        exists_failing_sequence(g, w, 5000, [1], node_budget=6)
+    assert exc.value.nodes == 7
     # past N*cap + 1 terms the answer no longer depends on the length: the
     # same answers as brute force over every multiset on both sides of it
     answers = set()
