@@ -11,19 +11,20 @@ and ``table`` gives each row a budget of its own.
 Exit codes: 0 success or agreement, 2 a formula or census disagreement,
 3 node budget exceeded, 64 bad command line (including unknown flags) or
 search input the engine refuses, 65 hypothesis mismatch.
-Default output is byte-identical across runs.  With --perf the CLI times
-the call behind each answer (``compute_constant`` in ``compute`` and in
-every ``table`` row, ``enumerate_extremal`` in ``enumerate``,
-``verify_characterization`` in ``verify``) and adds the milliseconds: a JSON
-``wall_time_ms`` field, a CSV ``ms`` column, a text ``ms`` line (a column
-in ``table``).  The engine's reports carry no timing.
+Default output is byte-identical across runs; the engine's reports carry
+no timing.  ``--perf`` adds the wall time in ms of the call behind each
+answer (``compute_constant``, ``enumerate_extremal`` or
+``verify_characterization``): a JSON ``wall_time_ms`` field, an ``ms`` column
+on every CSV row (a listing with no rows gets one row that holds only the
+time) and a last text line ``ms: ...``.  ``table`` times each row's
+``compute_constant`` instead: the field and a last text column on each row
+that finished, and the CSV column, empty on a ``BUDGET`` row.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
@@ -132,10 +133,6 @@ def _range_arg(text: str) -> tuple[int, int]:
     return bounds
 
 
-def _engine_opts(args) -> dict:
-    return {} if args.node_budget is None else {"node_budget": args.node_budget}
-
-
 def _timed(call, *args, **kwargs):
     """The result of one call and its wall time in ms."""
     t0 = time.perf_counter()
@@ -157,26 +154,24 @@ def _formula_cell(fv: FormulaValue) -> str:
     return f"{fv.lo}..{fv.hi}"
 
 
-def _dump_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
-
-
-def _dump_csv(header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _dump_perf_csv(header, rows, ms) -> None:
-    """A listing with one command's time: unless ``ms`` is None, an ``ms``
-    column holds it on every row, and a listing with no rows gets one row
-    that holds only the time."""
-    if ms is not None:
-        header = header + ["ms"]
-        rows = [row + [ms] for row in rows] or [[""] * (len(header) - 1) + [ms]]
-    _dump_csv(header, rows)
+def _emit(args, obj: dict, header: list, rows: list, lines: list, ms: float | None = None) -> None:
+    """Write one result as ``--output`` asks: the JSON object, the CSV header
+    and rows, or the text lines, with ``ms`` added under ``--perf`` as the
+    module docstring states (``table`` passes none: its rows hold their own)."""
+    timed = args.perf and ms is not None
+    if args.output == "json":
+        if timed:
+            obj["wall_time_ms"] = ms
+        print(json.dumps(obj, sort_keys=True))
+    elif args.output == "csv":
+        if timed:
+            header = [*header, "ms"]
+            rows = [[*row, ms] for row in rows] or [[""] * (len(header) - 1) + [ms]]
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        print(*lines, *([f"ms: {ms}"] if timed else []), sep="\n")
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -186,66 +181,35 @@ def cmd_compute(args) -> int:
     group = _group_arg(args.group)
     kind = ConstantKind(args.kind)
     weights = _kind_weights(kind, args.weights, group)
-    report, ms = _timed(compute_constant, kind, group, weights, **_engine_opts(args))
+    report, ms = _timed(compute_constant, kind, group, weights, node_budget=args.node_budget)
     fv = formula_for(kind, group, weights)
     verdict = _verdict(fv, report.value)
+    obj = report.to_dict() | {"formula": fv.to_dict(), "verdict": verdict}
 
-    if args.output == "json":
-        out = report.to_dict()
-        if args.perf:
-            out["wall_time_ms"] = ms
-        out["formula"] = fv.to_dict()
-        out["verdict"] = verdict
-        _dump_json(out)
-    elif args.output == "csv":
-        header = ["kind", "group", "weights", "value", "witness", "nodes",
-                  "formula", "tag", "verdict"]
-        row = [kind.value, group.spec_string,
-               weights.label() if weights else "", report.value,
-               report.witness.literal(), report.nodes_visited,
-               _formula_cell(fv), fv.tag or "", verdict or ""]
-        if args.perf:
-            header.append("ms")
-            row.append(ms)
-        _dump_csv(header, [row])
+    row = [kind.value, group.spec_string, weights.label() if weights else "", report.value,
+           obj["witness"], report.nodes_visited, _formula_cell(fv), fv.tag or "", verdict or ""]
+    lines = [f"kind: {kind.value}", f"group: {group.spec_string}"]
+    if weights is not None:
+        lines.append(f"weights: {weights.label()} = {{{','.join(map(str, weights.classes))}}}")
+    lines += [f"value: {report.value}", f"witness: {obj['witness']}", f"nodes: {report.nodes_visited}"]
+    if fv.applicable:
+        lines += [f"formula: {_formula_cell(fv)} [{fv.tag}]", f"verdict: {verdict}"]
     else:
-        print(f"kind: {kind.value}")
-        print(f"group: {group.spec_string}")
-        if weights is not None:
-            print(f"weights: {weights.label()} = {{{','.join(map(str, weights.classes))}}}")
-        print(f"value: {report.value}")
-        print(f"witness: {report.witness.literal()}")
-        print(f"nodes: {report.nodes_visited}")
-        if fv.applicable:
-            print(f"formula: {_formula_cell(fv)} [{fv.tag}]")
-            print(f"verdict: {verdict}")
-        else:
-            print(f"formula: n/a ({fv.reason})")
-        if args.perf:
-            print(f"ms: {ms}")
+        lines.append(f"formula: n/a ({fv.reason})")
+    header = ["kind", "group", "weights", "value", "witness", "nodes", "formula", "tag", "verdict"]
+    _emit(args, obj, header, [row], lines, ms)
     return EXIT_DISAGREE if verdict == "DISAGREE" else EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
     group = _group_arg(args.group)
     weights = _weights_arg(args.weights, group)
-    census, ms = _timed(enumerate_extremal, group, weights, **_engine_opts(args))
-    if args.output == "json":
-        out = census.to_dict()
-        if args.perf:
-            out["wall_time_ms"] = ms
-        _dump_json(out)
-    elif args.output == "csv":
-        _dump_perf_csv(["sequence"], [[m.literal()] for m in census.members], ms if args.perf else None)
-    else:
-        print(f"group: {group.spec_string}")
-        print(f"weights: {weights.label()}")
-        print(f"value: {census.value}")
-        print(f"count: {len(census.members)}")
-        for m in census.members:
-            print(m.literal())
-        if args.perf:
-            print(f"ms: {ms}")
+    census, ms = _timed(enumerate_extremal, group, weights, node_budget=args.node_budget)
+    obj = census.to_dict()
+    members = obj["members"]
+    lines = [f"group: {group.spec_string}", f"weights: {weights.label()}",
+             f"value: {census.value}", f"count: {len(members)}", *members]
+    _emit(args, obj, ["sequence"], [[m] for m in members], lines, ms)
     return EXIT_OK
 
 
@@ -257,29 +221,14 @@ def cmd_verify(args) -> int:
         raise HypothesisError(f"--group: {exc}") from exc
     weights = _weights_arg(args.weights, group) if args.weights is not None else None
     report, ms = _timed(verify_characterization, TheoremId(args.theorem), group, weights,
-                        **_engine_opts(args))
-    if args.output == "json":
-        out = report.to_dict()
-        if args.perf:
-            out["wall_time_ms"] = ms
-        _dump_json(out)
-    elif args.output == "csv":
-        rows = [["census", m] for m in report.to_dict()["only_in_census"]]
-        rows += [["predicate", m] for m in report.to_dict()["only_in_predicate"]]
-        _dump_perf_csv(["side", "sequence"], rows, ms if args.perf else None)
-    else:
-        print(f"theorem: {report.theorem.value}")
-        print(f"group: {group.spec_string}")
-        print(f"value: {report.value}")
-        print(f"census: {report.census_size}")
-        print(f"predicate: {report.predicate_size}")
-        print(f"verdict: {'AGREE' if report.agree else 'DISAGREE'}")
-        for m in report.only_in_census:
-            print(f"only in census: {m.literal()}")
-        for m in report.only_in_predicate:
-            print(f"only in predicate: {m.literal()}")
-        if args.perf:
-            print(f"ms: {ms}")
+                        node_budget=args.node_budget)
+    obj = report.to_dict()
+    only = [("census", m) for m in obj["only_in_census"]] + [("predicate", m) for m in obj["only_in_predicate"]]
+    lines = [f"theorem: {report.theorem.value}", f"group: {group.spec_string}",
+             f"value: {report.value}", f"census: {report.census_size}",
+             f"predicate: {report.predicate_size}", f"verdict: {'AGREE' if report.agree else 'DISAGREE'}",
+             *(f"only in {side}: {m}" for side, m in only)]
+    _emit(args, obj, ["side", "sequence"], only, lines, ms)
     return EXIT_OK if report.agree else EXIT_DISAGREE
 
 
@@ -295,61 +244,37 @@ def _family_groups(family: str, lo: int, hi: int) -> list[GroupSpec]:
 def cmd_table(args) -> int:
     lo, hi = _range_arg(args.range)
     kind = ConstantKind(args.kind)
-    opts = _engine_opts(args)
-
-    rows = []
+    header = ["group", "weights", "value", "formula", "tag", "verdict", "nodes"]
+    if args.perf:
+        header.append("ms")
+    obj_rows, rows = [], []
+    lines = [f"{'group':<10} {'value':>6} {'formula':>9} {'tag':<28} {'verdict':<9} {'nodes':>10}"]
     exit_code = EXIT_OK
     for group in _family_groups(args.family, lo, hi):
         weights = _kind_weights(kind, args.weights, group)
         fv = formula_for(kind, group, weights)
         try:
-            report, ms = _timed(compute_constant, kind, group, weights, **opts)
+            report, ms = _timed(compute_constant, kind, group, weights, node_budget=args.node_budget)
             value, nodes = report.value, report.nodes_visited
             verdict = _verdict(fv, value)
             if verdict == "DISAGREE":
                 exit_code = EXIT_DISAGREE
         except SearchBudgetExceeded as exc:
             value, nodes, ms, verdict = None, exc.nodes, None, None
-        rows.append((group, weights, value, fv, verdict, nodes, ms))
-
-    if args.output == "json":
-        out_rows = []
-        for group, weights, value, fv, verdict, nodes, ms in rows:
-            row = {
-                "group": group.spec_string,
-                "weights": list(weights.classes) if weights else None,
-                "value": value,
-                "budget_exceeded": value is None,
-                "formula": fv.to_dict(),
-                "verdict": verdict,
-                "nodes_visited": nodes,
-            }
-            if args.perf and ms is not None:
-                row["wall_time_ms"] = ms
-            out_rows.append(row)
-        _dump_json({"schema": 1, "type": "table", "kind": kind.value, "rows": out_rows})
-    elif args.output == "csv":
-        header = ["group", "weights", "value", "formula", "tag", "verdict", "nodes"]
+        cell = "BUDGET" if value is None else value
+        obj_rows.append({"group": group.spec_string, "weights": list(weights.classes) if weights else None,
+                         "value": value, "budget_exceeded": value is None, "formula": fv.to_dict(),
+                         "verdict": verdict, "nodes_visited": nodes})
+        rows.append([group.spec_string, weights.label() if weights else "", cell,
+                     _formula_cell(fv), fv.tag or "", verdict or "", nodes])
+        lines.append(f"{group.spec_string:<10} {cell:>6} {_formula_cell(fv):>9} "
+                     f"{fv.tag or '':<28} {verdict or '':<9} {nodes:>10}")
         if args.perf:
-            header.append("ms")
-        out_rows = []
-        for group, weights, value, fv, verdict, nodes, ms in rows:
-            row = [group.spec_string, weights.label() if weights else "",
-                   "BUDGET" if value is None else value,
-                   _formula_cell(fv), fv.tag or "", verdict or "", nodes]
-            if args.perf:
-                row.append("" if ms is None else ms)
-            out_rows.append(row)
-        _dump_csv(header, out_rows)
-    else:
-        print(f"{'group':<10} {'value':>6} {'formula':>9} {'tag':<28} {'verdict':<9} {'nodes':>10}")
-        for group, weights, value, fv, verdict, nodes, ms in rows:
-            cell = "BUDGET" if value is None else str(value)
-            line = (f"{group.spec_string:<10} {cell:>6} {_formula_cell(fv):>9} "
-                    f"{fv.tag or '':<28} {verdict or '':<9} {nodes:>10}")
-            if args.perf and ms is not None:
-                line += f" {ms:>10}"
-            print(line)
+            rows[-1].append("" if ms is None else ms)
+            if ms is not None:
+                obj_rows[-1]["wall_time_ms"] = ms
+                lines[-1] += f" {ms:>10}"
+    _emit(args, {"schema": 1, "type": "table", "kind": kind.value, "rows": obj_rows}, header, rows, lines)
     return exit_code
 
 

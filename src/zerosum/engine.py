@@ -534,56 +534,58 @@ def _compute(
     return report, tuple(hits)
 
 
-def harborth(group: GroupSpec, weights: WeightSet, **opts) -> SearchReport:
+def harborth(group: GroupSpec, weights: WeightSet, *, node_budget: int | None = None) -> SearchReport:
     """Least g such that every squarefree sequence of length >= g has a
     weighted zero-sum subsequence of length exp(G)."""
-    return _compute(ConstantKind.HARBORTH, group, weights, **opts)[0]
+    return _compute(ConstantKind.HARBORTH, group, weights, node_budget=node_budget)[0]
 
 
-def egz(group: GroupSpec, weights: WeightSet, **opts) -> SearchReport:
+def egz(group: GroupSpec, weights: WeightSet, *, node_budget: int | None = None) -> SearchReport:
     """Least s such that every sequence of length >= s has a weighted
     zero-sum subsequence of length exp(G)."""
-    return _compute(ConstantKind.EGZ, group, weights, **opts)[0]
+    return _compute(ConstantKind.EGZ, group, weights, node_budget=node_budget)[0]
 
 
-def eta(group: GroupSpec, weights: WeightSet, **opts) -> SearchReport:
+def eta(group: GroupSpec, weights: WeightSet, *, node_budget: int | None = None) -> SearchReport:
     """Least e such that every sequence of length >= e has a nonempty
     weighted zero-sum subsequence of length <= exp(G)."""
-    return _compute(ConstantKind.ETA, group, weights, **opts)[0]
+    return _compute(ConstantKind.ETA, group, weights, node_budget=node_budget)[0]
 
 
-def davenport(group: GroupSpec, weights: WeightSet, **opts) -> SearchReport:
+def davenport(group: GroupSpec, weights: WeightSet, *, node_budget: int | None = None) -> SearchReport:
     """Least D such that every sequence of length >= D has a nonempty
     weighted zero-sum subsequence."""
-    return _compute(ConstantKind.DAVENPORT, group, weights, **opts)[0]
+    return _compute(ConstantKind.DAVENPORT, group, weights, node_budget=node_budget)[0]
 
 
-def critical_number(group: GroupSpec, **opts) -> SearchReport:
+def critical_number(group: GroupSpec, *, node_budget: int | None = None) -> SearchReport:
     """Least c such that every zero-free squarefree set of size >= c has
     nonempty subset sums covering all of G."""
-    return _compute(ConstantKind.CRITICAL, group, None, **opts)[0]
+    return _compute(ConstantKind.CRITICAL, group, None, node_budget=node_budget)[0]
 
 
-def compute_constant(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, **opts) -> SearchReport:
-    return _compute(kind, group, weights, **opts)[0]
+def compute_constant(
+    kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, *, node_budget: int | None = None
+) -> SearchReport:
+    return _compute(kind, group, weights, node_budget=node_budget)[0]
 
 
 def failing_census_indices(
-    kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, **opts
+    kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, *, node_budget: int | None = None
 ) -> tuple[SearchReport, tuple[tuple[int, ...], ...]]:
     """The report plus every failing sequence of the maximal failing length,
     each as its ascending tuple of element indices, in colex order."""
-    report, census = _compute(kind, group, weights, want_census=True, **opts)
+    report, census = _compute(kind, group, weights, node_budget=node_budget, want_census=True)
     _check(census is not None, "a census search returns a census")
     return report, census
 
 
 def failing_census(
-    kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, **opts
+    kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, *, node_budget: int | None = None
 ) -> tuple[SearchReport, tuple[Sequence, ...]]:
     """The report plus every failing sequence of the maximal failing length,
     in colex order."""
-    report, census = failing_census_indices(kind, group, weights, **opts)
+    report, census = failing_census_indices(kind, group, weights, node_budget=node_budget)
     return report, tuple(Sequence.from_indices(group, idxs) for idxs in census)
 
 

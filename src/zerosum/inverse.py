@@ -86,7 +86,7 @@ class ExtremalCensus:
 _FULL_ORACLE_OP_LIMIT = 2_000_000
 
 
-def enumerate_extremal(group: GroupSpec, weights: WeightSet, **opts) -> ExtremalCensus:
+def enumerate_extremal(group: GroupSpec, weights: WeightSet, *, node_budget: int | None = None) -> ExtremalCensus:
     """All squarefree sequences of the maximal failing length, sorted by their
     index tuples and re-validated: each is squarefree of that length, and
     neither a fresh subsum table nor (on every member while the cost allows,
@@ -100,7 +100,7 @@ def enumerate_extremal(group: GroupSpec, weights: WeightSet, **opts) -> Extremal
     oracle shares nothing with the kernel: for one weight class it lists the
     smaller side of each kept/dropped split, else it recurses over weight
     assignments, and ``oracle_ops`` prices the one that runs."""
-    report, found = failing_census(ConstantKind.HARBORTH, group, weights, **opts)
+    report, found = failing_census(ConstantKind.HARBORTH, group, weights, node_budget=node_budget)
     census = tuple(sorted(found))
     exp = group.exponent
     length = report.value - 1
@@ -425,7 +425,8 @@ def verify_characterization(
     theorem: TheoremId,
     group: GroupSpec,
     weights: WeightSet | None = None,
-    **opts,
+    *,
+    node_budget: int | None = None,
 ) -> CharacterizationReport:
     """Compare the searched census with the theorem's shapes.
 
@@ -437,7 +438,7 @@ def verify_characterization(
     from the count raises ``InternalCheckError``, since then the count or a
     predicate is wrong."""
     w = check_theorem_hypotheses(theorem, group, weights)
-    census = enumerate_extremal(group, w, **opts)
+    census = enumerate_extremal(group, w, node_budget=node_budget)
     predicate = _PREDICATES[theorem]
     members = census.member_indices
     length = census.value - 1

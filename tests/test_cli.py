@@ -410,6 +410,48 @@ def test_table_range_past_order_ceiling_exits_64(capsys, family, rng):
     assert out == ""
 
 
+# -- full output bytes ---------------------------------------------------------------
+
+# (command, exit code, stdout, stderr) of one command per subcommand in json and
+# csv, a table with a BUDGET row, a verify refused with 65, and one --perf case
+# per format with each time written as <ms>
+_PINNED_OUTPUT = [
+    ('compute --group 2,6 --weights pm --kind harborth --output json', 0, '{"formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "kind": "harborth", "nodes_visited": 266, "schema": 1, "type": "search_report", "value": 8, "verdict": "AGREE", "weights": [1, 5], "witness": "(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)"}\n', ''),
+    ('compute --group 2,6 --weights pm --kind harborth --output csv', 0, 'kind,group,weights,value,witness,nodes,formula,tag,verdict\nharborth,"2,6",pm,8,"(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)",266,8,harborth-rank2-pm,AGREE\n', ''),
+    ('enumerate --group 4 --weights pm --output json', 0, '{"count": 4, "group": "4", "members": ["(0);(1);(2)", "(0);(1);(3)", "(0);(2);(3)", "(1);(2);(3)"], "nodes_visited": 10, "schema": 1, "type": "extremal_census", "value": 4, "weights": [1, 3]}\n', ''),
+    ('enumerate --group 4 --weights pm --output csv', 0, 'sequence\n(0);(1);(2)\n(0);(1);(3)\n(0);(2);(3)\n(1);(2);(3)\n', ''),
+    ('verify --group 2,6 --theorem pm-general --output json', 0, '{"agree": true, "census_size": 36, "group": "2,6", "nodes_visited": 302, "only_in_census": [], "only_in_predicate": [], "predicate_size": 36, "schema": 1, "theorem": "pm-general", "type": "characterization_report", "value": 8, "weights": [1, 5]}\n', ''),
+    ('verify --group 2,6 --theorem pm-general --output csv', 0, 'side,sequence\n', ''),
+    ('table --family 2,2n --range 1:4 --kind harborth --weights pm --node-budget 1000 --output json', 0, '{"kind": "harborth", "rows": [{"budget_exceeded": false, "formula": {"applicable": true, "hi": 5, "lo": 5, "tag": "harborth-elementary2", "value": 5}, "group": "2,2", "nodes_visited": 10, "value": 5, "verdict": "AGREE", "weights": [1]}, {"budget_exceeded": false, "formula": {"applicable": true, "hi": 5, "lo": 5, "tag": "harborth-rank2-pm", "value": 5}, "group": "2,4", "nodes_visited": 46, "value": 5, "verdict": "AGREE", "weights": [1, 3]}, {"budget_exceeded": false, "formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "nodes_visited": 266, "value": 8, "verdict": "AGREE", "weights": [1, 5]}, {"budget_exceeded": true, "formula": {"applicable": true, "hi": 10, "lo": 10, "tag": "harborth-rank2-pm", "value": 10}, "group": "2,8", "nodes_visited": 1001, "value": null, "verdict": null, "weights": [1, 7]}], "schema": 1, "type": "table"}\n', ''),
+    ('table --family 2,2n --range 1:4 --kind harborth --weights pm --node-budget 1000 --output csv', 0, 'group,weights,value,formula,tag,verdict,nodes\n"2,2",classic,5,5,harborth-elementary2,AGREE,10\n"2,4",pm,5,5,harborth-rank2-pm,AGREE,46\n"2,6",pm,8,8,harborth-rank2-pm,AGREE,266\n"2,8",pm,BUDGET,10,harborth-rank2-pm,,1001\n', ''),
+    ('verify --group 2,5 --theorem pm-general --output json', 65, '', 'zerosum: hypothesis mismatch: --group: invariant factor chain broken: 2 does not divide 5\n'),
+    ('verify --group 2,5 --theorem pm-general --output csv', 65, '', 'zerosum: hypothesis mismatch: --group: invariant factor chain broken: 2 does not divide 5\n'),
+    ('compute --group 2,6 --weights pm --kind harborth --output json --perf', 0, '{"formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "kind": "harborth", "nodes_visited": 266, "schema": 1, "type": "search_report", "value": 8, "verdict": "AGREE", "wall_time_ms": <ms>, "weights": [1, 5], "witness": "(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)"}\n', ''),
+    ('verify --group 2,6 --theorem pm-general --output csv --perf', 0, 'side,sequence,ms\n,,<ms>\n', ''),
+    ('enumerate --group 4 --weights pm --perf', 0, 'group: 4\nweights: pm\nvalue: 4\ncount: 4\n(0);(1);(2)\n(0);(1);(3)\n(0);(2);(3)\n(1);(2);(3)\nms: <ms>\n', ''),
+]
+
+
+@pytest.mark.parametrize("command, code, out, err", _PINNED_OUTPUT, ids=[c[0] for c in _PINNED_OUTPUT])
+def test_output_bytes_are_pinned(capsys, command, code, out, err):
+    got_code, got_out, got_err = run(capsys, *command.split())
+    if "--perf" in command:
+        got_out = re.sub(r"\d+\.\d+", "<ms>", got_out)
+    assert (got_code, got_out, got_err) == (code, out, err)
+
+
+@pytest.mark.parametrize("output", ["text", "json", "csv"])
+def test_enumerate_writes_each_literal_once(capsys, monkeypatch, output):
+    from zerosum.sequences import Sequence
+
+    calls = []
+    literal = Sequence.literal
+    monkeypatch.setattr(Sequence, "literal", lambda self: calls.append(1) or literal(self))
+    code, _, _ = run(capsys, "enumerate", "--group", "2,6", "--weights", "pm", "--output", output)
+    assert code == 0
+    assert len(calls) == 36  # the census size
+
+
 # -- README examples ---------------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 """Search engine checks: known small values, witness contracts, determinism."""
 
+import ast
 import functools
 import gc
+import inspect
 import itertools
 import math
 import os
@@ -1026,3 +1028,43 @@ def test_identical_searches_give_equal_reports():
     first = engine.failing_census_indices(ConstantKind.HARBORTH, g, w)
     assert first == engine.failing_census_indices(ConstantKind.HARBORTH, g, w)
     assert len(first[1]) == 36
+
+
+_HARBORTH = (ConstantKind.HARBORTH,)
+_ENTRY_POINTS = [
+    (harborth, (), "2,6"),
+    (egz, (), "2,4"),
+    (eta, (), "2,4"),
+    (davenport, (), "2,4"),
+    (critical_number, (), "6"),
+    (compute_constant, _HARBORTH, "2,6"),
+    (failing_census, _HARBORTH, "2,6"),
+    (engine.failing_census_indices, _HARBORTH, "2,6"),
+    (zerosum.enumerate_extremal, (), "2,6"),
+    (zerosum.verify_characterization, (zerosum.TheoremId.PM_GENERAL,), "2,6"),
+]
+
+
+@pytest.mark.parametrize("fn, lead, spec", _ENTRY_POINTS, ids=[e[0].__name__ for e in _ENTRY_POINTS])
+def test_node_budget_is_the_only_search_option(fn, lead, spec):
+    params = inspect.signature(fn).parameters
+    assert [p for p in params.values() if p.kind is inspect.Parameter.KEYWORD_ONLY] == [params["node_budget"]]
+    assert all(p.kind is not inspect.Parameter.VAR_KEYWORD for p in params.values())
+    g = parse_group(spec)
+    args = [*lead, g] + ([] if fn is critical_number else [pm(g.exponent)])
+    with pytest.raises(TypeError):
+        fn(*args, want_census=True)
+    with pytest.raises(TypeError):
+        fn(*args, None)  # no positional budget
+    fn(*args, node_budget=None)
+
+
+def test_sources_hold_no_assert_statement():
+    # result checks go through engine._check, which survives python -O
+    src = Path(zerosum.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
