@@ -297,7 +297,7 @@ def main(argv=None) -> int:
         print(f"zerosum: hypothesis mismatch: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except SearchBudgetExceeded as exc:
-        print(f"zerosum: node budget exceeded after {exc.nodes} nodes", file=sys.stderr)
+        print(f"zerosum: node budget exceeded after {exc.nodes} nodes ({exc.phase})", file=sys.stderr)
         return EXIT_BUDGET
 
 

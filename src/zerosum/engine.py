@@ -31,17 +31,29 @@ best so far, so the first chain of the maximal length is colex-least among
 the chains walked; a census keeps the chains that tie the best so far,
 starting over whenever the best grows.
 
-Determinism contract: a value search is one class walk that finds the
-maximal failing length L, then, when some orbit has more than one member,
-one probe over the elements for L, whose first chain is the colex-least
-witness.  A census is one class walk that keeps its ties, each lifted to
-every failing sequence it stands for (``_lift``) and sorted into colex
-order, with the witness first; with one-element orbits the lift is the
-walk's own hits.  Every walk is sequential, and its nodes depend only on
-the search inputs.  Roots (topmost elements) go in index order, and one
-bound, the best length so far, carries from root to root.  One node budget
-covers the class walk and the probe, which counts on from the class walk's
-total, and a walk stops at the first node past it, so node counts,
+A value search also forces symmetry (``_plan``).  Gamma, the automorphisms
+of G composed with the translations that keep the property
+(``zerosum.groups.symmetries``), maps failing sequences to failing ones,
+so each failing sequence has an image that holds a fixed representative
+of the last Gamma-orbit it meets and nothing from later orbits.  One job
+per orbit forces that representative and walks the orbits up to it, and
+each job splits again inside the stabiliser of what it forced, three
+terms deep.
+
+Determinism contract: a value search is the plan plus a probe.  The jobs
+of the plan run in order, each pushing its forced terms and then walking
+its start mask, and one bound, the best length so far, carries from job to
+job; the maximal failing length L is the best at the end.  Then one probe
+over the elements for L, whose first chain is the colex-least witness.  A
+census is one class walk that keeps its ties, each lifted to every failing
+sequence it stands for (``_lift``) and sorted into colex order, with the
+witness first; with one-element orbits the lift is the walk's own hits.  A
+census builds no Gamma and no plan.  Every walk is sequential, and its
+nodes depend only on the search inputs.  Roots (topmost elements) go in index
+order, and the bound carries from root to root.  One node budget covers
+every forced push, every job's walk and the probe, each counting on from
+the running total, and a search stops at the first node past it, naming
+the job, the probe or the class walk it stopped in, so node counts,
 witnesses and budget aborts are byte-stable across runs.  Reports carry no
 timing, so two identical searches return equal reports; the CLI times its
 calls for ``--perf``.
@@ -53,11 +65,12 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 from typing import Iterable
 
-from zerosum.groups import GroupSpec
+from zerosum.groups import GroupSpec, symmetries
 from zerosum.sequences import (
     Sequence,
     WeightSet,
@@ -75,13 +88,17 @@ DEFAULT_NODE_BUDGET = 50_000_000
 class SearchBudgetExceeded(RuntimeError):
     """The search hit its node budget before finishing; no partial answer.
 
-    ``nodes`` is the total the computation had used, ``budget + 1``.
+    ``nodes`` is the total the computation had used, ``budget + 1``, and
+    ``phase`` the part of the search that used the last node: ``"class
+    walk"``, ``"job i of m"`` of a value search's plan, or ``"witness
+    probe"``.
     """
 
-    def __init__(self, nodes: int, budget: int):
-        super().__init__(f"search exceeded node budget ({nodes} > {budget})")
+    def __init__(self, nodes: int, budget: int, phase: str = "class walk"):
+        super().__init__(f"search exceeded node budget ({nodes} > {budget}) in {phase}")
         self.nodes = nodes
         self.budget = budget
+        self.phase = phase
 
 
 class SearchInputError(ValueError):
@@ -133,6 +150,10 @@ class SearchReport:
             "witness": self.witness.literal(),
             "nodes_visited": self.nodes_visited,
         }
+
+
+_MULTISET_KINDS = (ConstantKind.EGZ, ConstantKind.ETA, ConstantKind.DAVENPORT)
+_FORCED_TERMS = 3  # a fourth forced term saved no nodes on the searches measured, and cost some
 
 
 def _node_budget(node_budget: int | None) -> int:
@@ -191,7 +212,7 @@ def _nonempty_engine(group: GroupSpec, weights: WeightSet, dead_mask: int):
 
 
 def _walk(start: int, init_state, push, *, unlock, levels, dead=None, best: int, cap: int,
-          ties: bool, budget: int, room=None, spent: int = 0):
+          ties: bool, budget: int, room=None, spent: int = 0, phase: str = "class walk"):
     """Walk every live chain, one topmost element after another.
 
     A chain is a nonincreasing run of element indices, so chains come out
@@ -228,9 +249,9 @@ def _walk(start: int, init_state, push, *, unlock, levels, dead=None, best: int,
     at the first chain that reaches L.
 
     A node is one push.  The walk counts its nodes on from ``spent`` and
-    raises ``SearchBudgetExceeded`` at the first node that takes the count
-    past ``budget``.  It recurses once per term, so the recursion limit is
-    raised by ``cap`` while it runs.
+    raises ``SearchBudgetExceeded`` in ``phase`` at the first node that
+    takes the count past ``budget``.  It recurses once per term, so the
+    recursion limit is raised by ``cap`` while it runs.
 
     Returns ``(length, witness, hits, nodes)``: the longest chain found with
     its length (the first, so colex-least; ``None`` if none beat ``best``),
@@ -280,7 +301,7 @@ def _walk(start: int, init_state, push, *, unlock, levels, dead=None, best: int,
             todo ^= low
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetExceeded(nodes, budget)
+                raise SearchBudgetExceeded(nodes, budget, phase)
             c = low.bit_length() - 1
             new = push(state, c)
             if new is None:
@@ -440,6 +461,79 @@ def _walk_parts(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None)
     return full, init_state, push, dead if scaled else None, room
 
 
+@lru_cache(maxsize=64)
+def _plan(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None):
+    """A value search as jobs ``(forced, start)``, in the order they run:
+    the terms each chain of the job begins with, and the live mask its walk
+    after them starts from.
+
+    Soundness.  Every map of Gamma (``symmetries``) takes failing sequences
+    to failing ones.  An automorphism keeps every weighted zero-sum.  A
+    translation by h moves a weighted sum of exp terms by
+    (w_1 + ... + w_exp)*h, which is 0 for every h under classic weights, and
+    for h in G[2] under pm weights when exp is even (the w_i then sum to an
+    even number); harborth and egz ask only about sums of exp terms, so
+    those translations serve there, and no other kind or weight set takes
+    one.  Each map commutes with every u in U_W (-h = h on G[2]), so Gamma
+    permutes the classes of ``_classes`` and the forcing works on classes.
+
+    Split the allowed classes into Gamma-orbits O_1, O_2, ..., smallest
+    first, and let r_k be the top of the lowest class of O_k.  A failing
+    sequence meets a last orbit O_k; some map takes one of its terms there
+    to r_k and keeps the rest in O_1..O_k, so job k forces r_k and walks
+    O_1..O_k, r_k's class one use short for a squarefree kind.  Inside job
+    k the same argument runs on what the job may still add, with the maps
+    that keep r_k's class (they hold all of U_W).  ``_FORCED_TERMS`` terms
+    deep the job walks what is left.  A prefix whose allowed set runs out early is a
+    job with an empty walk, and the search counts every live forced prefix
+    as a chain, so every failing sequence has an image some job reaches.
+    """
+    start, init_state, _, dead, _ = _walk_parts(kind, group, weights)
+    if dead is not None:
+        start &= ~dead(init_state)  # 0 for eta and davenport
+    multiset = kind in _MULTISET_KINDS
+    orbit = _classes(group, _stabiliser(weights), start, multiset)[3]
+    torsion = 1
+    if kind in (ConstantKind.HARBORTH, ConstantKind.EGZ):
+        if weights.classes == (1,):
+            torsion = 0
+        elif weights.modulus % 2 == 0 and weights.classes == (1, weights.modulus - 1):
+            torsion = 2
+
+    def split(forced: tuple[int, ...], allowed: int, maps) -> list:
+        # forced: the class tops forced so far; allowed: the elements whose
+        # classes a chain may still use; a job with none left stays as it is
+        parts, left = [], allowed
+        while left:
+            x = (left & -left).bit_length() - 1
+            part = 0
+            for m in maps:
+                part |= 1 << m[x]
+            parts.append(part)
+            left &= ~part
+        parts.sort(key=int.bit_count)
+        out, seen = [], 0
+        for part in parts:
+            seen |= part
+            r = orbit[(part & -part).bit_length() - 1][0]
+            members = sum(1 << c for c in orbit[r])
+            rest = seen
+            if not multiset and forced.count(r) + 1 == len(orbit[r]):
+                rest &= ~members
+            out.append((forced + (r,), rest, [m for m in maps if members >> m[r] & 1]))
+        return out or [(forced, allowed, maps)]
+
+    level = [((), start, symmetries(group, torsion))]
+    for _ in range(_FORCED_TERMS):
+        level = [job for node in level for job in split(*node)]
+    jobs = []
+    for forced, allowed, _ in level:
+        terms = tuple(r if multiset else orbit[r][forced[:i].count(r)] for i, r in enumerate(forced))
+        jobs.append((terms, sum(1 << (c if multiset else orbit[c][forced.count(c)])
+                                for c in range(group.order) if allowed >> c & 1 and orbit[c][0] == c)))
+    return tuple(jobs)
+
+
 def _validate_witness(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, witness: Sequence) -> None:
     """Re-check the witness through the independent oracles, never the kernel."""
     if kind is ConstantKind.CRITICAL:
@@ -474,12 +568,12 @@ def _compute(
     ``want_census`` every failing sequence of the maximal length as an
     ascending index tuple, in colex order (else ``None``).
 
-    One class walk (``_classes``) finds the maximal failing length L.  When
-    some orbit has more than one member, the witness comes from a probe for
-    L over the elements, and a census from lifting the ties the class walk
-    kept (``_lift``); otherwise the class walk is the element walk and gives
-    both itself.  ``node_budget`` covers the class walk and the
-    probe together."""
+    A value search runs the jobs of ``_plan`` to find the maximal failing
+    length L, sharing the states of forced terms from one job to the next,
+    and then a probe for L over the elements for the witness.  A census is
+    one class walk (``_classes``) that keeps its ties, lifted (``_lift``)
+    when some orbit has more than one member.  ``node_budget`` covers the
+    whole search."""
     if kind is ConstantKind.CRITICAL:
         if weights is not None:
             raise SearchInputError("the critical number takes no weight set")
@@ -495,25 +589,57 @@ def _compute(
     node_budget = _node_budget(node_budget)
     exp = group.exponent
     start, init_state, push, dead, room = _walk_parts(kind, group, weights)
-    multiset = kind in (ConstantKind.EGZ, ConstantKind.ETA, ConstantKind.DAVENPORT)
+    multiset = kind in _MULTISET_KINDS
     tops, unlock, levels, orbit = _classes(group, _stabiliser(weights), start, multiset)
 
     # above every failing length: D(G) <= |G|, s(G) <= |G| + exp - 1, and a
     # squarefree chain has at most |G| terms; reaching it can only mean a bug
     cap = 4 * group.order + exp + 8
-    length, chain, hits, nodes = _walk(tops, init_state, push, unlock=unlock, levels=levels, dead=dead,
-                                       best=0, cap=cap, ties=want_census, budget=node_budget, room=room)
-    _check(length < cap, f"failing lengths for {kind.value} on {group} stay below {cap}")
-    if tops != start:
-        if want_census:
+    if want_census:
+        length, chain, hits, nodes = _walk(tops, init_state, push, unlock=unlock, levels=levels, dead=dead,
+                                           best=0, cap=cap, ties=True, budget=node_budget, room=room)
+        if tops != start:
             hits = _lift(hits, orbit, multiset)
-            chain = hits[0]
-        elif length:
+        chain = hits[0]
+    else:
+        length = nodes = 0
+        jobs = _plan(kind, group, weights)
+        states, previous = [init_state], ()  # states[i]: the state after previous[:i]
+        for i, (forced, mask) in enumerate(jobs):
+            phase = f"job {i + 1} of {len(jobs)}"
+            keep = 0
+            while keep < min(len(forced), len(previous)) and forced[keep] == previous[keep]:
+                keep += 1
+            del states[keep + 1:]
+            for c in forced[keep:]:
+                state = states[-1]
+                if state is not None and (dead is None or not dead(state) >> c & 1):
+                    nodes += 1
+                    if nodes > node_budget:
+                        raise SearchBudgetExceeded(nodes, node_budget, phase)
+                    state = push(state, c)
+                    if state is not None:
+                        length = max(length, len(states))
+                else:
+                    state = None
+                states.append(state)
+            previous = forced
+            if states[-1] is not None and mask:
+                found, _, _, nodes = _walk(mask, states[-1], push, unlock=unlock, levels=levels, dead=dead,
+                                           best=length - len(forced), cap=cap - len(forced), ties=False,
+                                           budget=node_budget, room=room, spent=nodes, phase=phase)
+                length = len(forced) + found
+                if length == cap:
+                    break
+    _check(length < cap, f"failing lengths for {kind.value} on {group} stay below {cap}")
+    if not want_census:
+        chain = ()
+        if length:
             _, unlock, levels, _ = _classes(group, (1,), start, multiset)
             found, chain, _, nodes = _walk(start, init_state, push, unlock=unlock, levels=levels, dead=dead,
                                            best=length - 1, cap=length, ties=False, budget=node_budget,
-                                           room=room, spent=nodes)
-            _check(found == length, "the element probe finds the class walk's length")
+                                           room=room, spent=nodes, phase="witness probe")
+            _check(found == length, "the element probe finds the plan's length")
 
     value = length + 1
     witness = Sequence.from_indices(group, chain or ())

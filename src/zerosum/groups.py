@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 ORDER_CEILING = 64
+SYMMETRY_CAP = 8192
 
 
 class GroupMismatchError(ValueError):
@@ -249,6 +250,45 @@ def parse_group(text: str) -> GroupSpec:
     except ValueError:
         raise ValueError(f"malformed group spec {text!r}: factors must be integers") from None
     return GroupSpec(factors)
+
+
+@lru_cache(maxsize=64)
+def symmetries(group: GroupSpec, torsion: int) -> tuple[tuple[int, ...], ...]:
+    """The maps x -> a(x) + h, for a in a group A of automorphisms and h
+    with ``torsion * h = 0`` (0: every h, 1: none, 2: G[2]), each as the
+    tuple of the images of the element indices.  They form a group, since
+    each such set of h is characteristic.
+
+    A homomorphism is fixed by the images x_i of the basis elements e_i,
+    any x_i with n_i * x_i = 0, and is an automorphism when it is one to
+    one; the search extends the images of the first i basis elements by
+    each candidate x_i and keeps those still one to one.  A is all of
+    Aut(G), found among every such x_i; else the monomial maps, x_i a unit
+    multiple of a basis element of the same order (the unit multipliers
+    and the permutations of equal invariant factors generate them); else
+    the unit multipliers alone.  A search gives up when a step would try
+    more than ``SYMMETRY_CAP`` extensions or the maps would number more.
+    Any subgroup of Aut(G) holding the unit multipliers serves; a smaller
+    one only reduces less.
+    """
+    add, scale, factors, e = group.add_table, group.scale_table, group.invariant_factors, group.exponent
+    shifts = [h for h in range(group.order) if scale[torsion % e][h] == 0]
+    units = [u for u in range(1, e) if math.gcd(u, e) == 1]
+
+    def search(candidates: list) -> list:
+        found = [[0]]  # the one-to-one images of the span of the basis elements so far
+        for k, xs in zip(factors, candidates):
+            if len(found) * len(xs) > SYMMETRY_CAP:
+                return []
+            found = [new for img in found for x in xs
+                     if len(set(new := [add[a][scale[t][x]] for t in range(k) for a in img])) == len(new)]
+        return found if len(found) * len(shifts) <= SYMMETRY_CAP else []
+
+    found = (search([[x for x in range(group.order) if scale[k % e][x] == 0] for k in factors])
+             or search([sorted({scale[u][b] for u in units for b, m in zip(group._strides, factors) if m == k})
+                        for k in factors])
+             or [scale[u] for u in units])
+    return tuple(tuple(add[h][x] for x in a) for a in found for h in shifts)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from zerosum.groups import GroupSpec, coset_index_mod_2G, doubling_subgroup
 from zerosum.sequences import (
     Sequence,
     WeightSet,
+    _term_literals,
     enumerate_squarefree,
     has_weighted_zero_of_length,
     oracle_ops,
@@ -71,6 +72,7 @@ class ExtremalCensus:
         return tuple(Sequence.from_indices(self.group, idxs) for idxs in self.member_indices)
 
     def to_dict(self) -> dict:
+        terms = _term_literals(self.group)
         return {
             "schema": 1,
             "type": "extremal_census",
@@ -78,7 +80,8 @@ class ExtremalCensus:
             "weights": list(self.weights.classes),
             "value": self.value,
             "count": len(self.member_indices),
-            "members": [s.literal() for s in self.members],
+            # members are squarefree, so each literal joins its terms' literals
+            "members": [";".join(terms[i] for i in idxs) for idxs in self.member_indices],
             "nodes_visited": self.nodes_visited,
         }
 

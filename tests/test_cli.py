@@ -3,12 +3,17 @@
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import zerosum
 from zerosum import cli
 
 
@@ -16,6 +21,41 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# -- import ------------------------------------------------------------------------
+
+_IMPORT_RUN = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import zerosum.cli as cli
+    from zerosum import engine, groups
+
+    def sizes():
+        return {f"{f.__module__}.{f.__qualname__}": f.cache_info().currsize
+                for name, module in list(sys.modules.items()) if name.startswith("zerosum")
+                for f in vars(module).values() if hasattr(f, "cache_info")}
+
+    after_import = sizes()
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(["enumerate", "--group", "2,8", "--weights", "classic"]),
+                 cli.main(["verify", "--group", "2,6", "--theorem", "pm-general"])]
+    census = {f.__qualname__: f.cache_info().currsize for f in (groups.symmetries, engine._plan)}
+    print(json.dumps([after_import, codes, census]))
+""")
+
+
+def test_import_does_no_work():
+    # a fresh import fills no cache, and a census builds no symmetries and
+    # no plan: both are a value search's, built on its first use
+    src = str(Path(zerosum.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_RUN], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    after_import, codes, census = json.loads(proc.stdout)
+    assert len(after_import) == 9 and set(after_import.values()) == {0}
+    assert "zerosum.groups.symmetries" in after_import and "zerosum.engine._plan" in after_import
+    assert codes == [0, 0]
+    assert census == {"symmetries": 0, "_plan": 0}
 
 
 # -- compute -----------------------------------------------------------------------
@@ -147,6 +187,17 @@ def test_budget_exceeded_exits_3(capsys):
                        "--kind", "harborth", "--node-budget", "100")
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("command, phase", [
+    ("compute --group 2,8 --weights pm --kind harborth --node-budget 0", "1 nodes (job 1 of 31)"),
+    ("compute --group 2,8 --weights pm --kind harborth --node-budget 500", "501 nodes (witness probe)"),
+    ("enumerate --group 2,8 --weights pm --node-budget 50", "51 nodes (class walk)"),
+    ("verify --group 2,8 --theorem pm-general --node-budget 50", "51 nodes (class walk)"),
+])
+def test_budget_abort_names_its_phase(capsys, command, phase):
+    # stderr names the part of the search the budget ran out in; stdout is empty
+    assert run(capsys, *command.split()) == (3, "", f"zerosum: node budget exceeded after {phase}\n")
 
 
 def test_critical_on_too_small_group_exits_64(capsys):
@@ -305,21 +356,21 @@ def test_table_rank2_pm_values(capsys):
 def test_table_budget_cell_does_not_fail_run(capsys):
     code, out, _ = run(capsys, "table", "--family", "2,2n", "--range", "1:3",
                        "--kind", "harborth", "--weights", "pm",
-                       "--node-budget", "200")  # 2,6 takes 266 nodes
+                       "--node-budget", "200")  # 2,6 takes 201 nodes
     assert code == 0
     assert "BUDGET" in out
 
 
 def test_table_budget_is_per_row(capsys):
-    # each row fits 1,200 nodes (2,8 takes 1,164) while the four together take 1,486
+    # each row fits 600 nodes (2,8 takes 532) while the four together take 768
     code, out, _ = run(capsys, "table", "--family", "2,2n", "--range", "1:4",
                        "--kind", "harborth", "--weights", "pm",
-                       "--node-budget", "1200", "--output", "json")
+                       "--node-budget", "600", "--output", "json")
     assert code == 0
     rows = json.loads(out)["rows"]
     nodes = [r["nodes_visited"] for r in rows]
     assert not any(r["budget_exceeded"] for r in rows)
-    assert max(nodes) <= 1_200 < sum(nodes) == 1_486
+    assert max(nodes) <= 600 < sum(nodes) == 768
 
 
 def test_table_csv_columns(capsys):
@@ -343,7 +394,7 @@ def test_table_json_schema(capsys):
 
 
 _BUDGET_TABLE = ("table", "--family", "2,2n", "--range", "1:4", "--kind", "harborth",
-                 "--weights", "pm", "--node-budget", "1000")  # 2,8 takes 1,164 nodes
+                 "--weights", "pm", "--node-budget", "300")  # 2,8 takes 532 nodes
 
 
 def test_table_perf_times_each_searched_row(capsys):
@@ -416,17 +467,17 @@ def test_table_range_past_order_ceiling_exits_64(capsys, family, rng):
 # csv, a table with a BUDGET row, a verify refused with 65, and one --perf case
 # per format with each time written as <ms>
 _PINNED_OUTPUT = [
-    ('compute --group 2,6 --weights pm --kind harborth --output json', 0, '{"formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "kind": "harborth", "nodes_visited": 266, "schema": 1, "type": "search_report", "value": 8, "verdict": "AGREE", "weights": [1, 5], "witness": "(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)"}\n', ''),
-    ('compute --group 2,6 --weights pm --kind harborth --output csv', 0, 'kind,group,weights,value,witness,nodes,formula,tag,verdict\nharborth,"2,6",pm,8,"(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)",266,8,harborth-rank2-pm,AGREE\n', ''),
+    ('compute --group 2,6 --weights pm --kind harborth --output json', 0, '{"formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "kind": "harborth", "nodes_visited": 201, "schema": 1, "type": "search_report", "value": 8, "verdict": "AGREE", "weights": [1, 5], "witness": "(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)"}\n', ''),
+    ('compute --group 2,6 --weights pm --kind harborth --output csv', 0, 'kind,group,weights,value,witness,nodes,formula,tag,verdict\nharborth,"2,6",pm,8,"(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)",201,8,harborth-rank2-pm,AGREE\n', ''),
     ('enumerate --group 4 --weights pm --output json', 0, '{"count": 4, "group": "4", "members": ["(0);(1);(2)", "(0);(1);(3)", "(0);(2);(3)", "(1);(2);(3)"], "nodes_visited": 10, "schema": 1, "type": "extremal_census", "value": 4, "weights": [1, 3]}\n', ''),
     ('enumerate --group 4 --weights pm --output csv', 0, 'sequence\n(0);(1);(2)\n(0);(1);(3)\n(0);(2);(3)\n(1);(2);(3)\n', ''),
     ('verify --group 2,6 --theorem pm-general --output json', 0, '{"agree": true, "census_size": 36, "group": "2,6", "nodes_visited": 302, "only_in_census": [], "only_in_predicate": [], "predicate_size": 36, "schema": 1, "theorem": "pm-general", "type": "characterization_report", "value": 8, "weights": [1, 5]}\n', ''),
     ('verify --group 2,6 --theorem pm-general --output csv', 0, 'side,sequence\n', ''),
-    ('table --family 2,2n --range 1:4 --kind harborth --weights pm --node-budget 1000 --output json', 0, '{"kind": "harborth", "rows": [{"budget_exceeded": false, "formula": {"applicable": true, "hi": 5, "lo": 5, "tag": "harborth-elementary2", "value": 5}, "group": "2,2", "nodes_visited": 10, "value": 5, "verdict": "AGREE", "weights": [1]}, {"budget_exceeded": false, "formula": {"applicable": true, "hi": 5, "lo": 5, "tag": "harborth-rank2-pm", "value": 5}, "group": "2,4", "nodes_visited": 46, "value": 5, "verdict": "AGREE", "weights": [1, 3]}, {"budget_exceeded": false, "formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "nodes_visited": 266, "value": 8, "verdict": "AGREE", "weights": [1, 5]}, {"budget_exceeded": true, "formula": {"applicable": true, "hi": 10, "lo": 10, "tag": "harborth-rank2-pm", "value": 10}, "group": "2,8", "nodes_visited": 1001, "value": null, "verdict": null, "weights": [1, 7]}], "schema": 1, "type": "table"}\n', ''),
-    ('table --family 2,2n --range 1:4 --kind harborth --weights pm --node-budget 1000 --output csv', 0, 'group,weights,value,formula,tag,verdict,nodes\n"2,2",classic,5,5,harborth-elementary2,AGREE,10\n"2,4",pm,5,5,harborth-rank2-pm,AGREE,46\n"2,6",pm,8,8,harborth-rank2-pm,AGREE,266\n"2,8",pm,BUDGET,10,harborth-rank2-pm,,1001\n', ''),
+    ('table --family 2,2n --range 1:4 --kind harborth --weights pm --node-budget 300 --output json', 0, '{"kind": "harborth", "rows": [{"budget_exceeded": false, "formula": {"applicable": true, "hi": 5, "lo": 5, "tag": "harborth-elementary2", "value": 5}, "group": "2,2", "nodes_visited": 8, "value": 5, "verdict": "AGREE", "weights": [1]}, {"budget_exceeded": false, "formula": {"applicable": true, "hi": 5, "lo": 5, "tag": "harborth-rank2-pm", "value": 5}, "group": "2,4", "nodes_visited": 27, "value": 5, "verdict": "AGREE", "weights": [1, 3]}, {"budget_exceeded": false, "formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "nodes_visited": 201, "value": 8, "verdict": "AGREE", "weights": [1, 5]}, {"budget_exceeded": true, "formula": {"applicable": true, "hi": 10, "lo": 10, "tag": "harborth-rank2-pm", "value": 10}, "group": "2,8", "nodes_visited": 301, "value": null, "verdict": null, "weights": [1, 7]}], "schema": 1, "type": "table"}\n', ''),
+    ('table --family 2,2n --range 1:4 --kind harborth --weights pm --node-budget 300 --output csv', 0, 'group,weights,value,formula,tag,verdict,nodes\n"2,2",classic,5,5,harborth-elementary2,AGREE,8\n"2,4",pm,5,5,harborth-rank2-pm,AGREE,27\n"2,6",pm,8,8,harborth-rank2-pm,AGREE,201\n"2,8",pm,BUDGET,10,harborth-rank2-pm,,301\n', ''),
     ('verify --group 2,5 --theorem pm-general --output json', 65, '', 'zerosum: hypothesis mismatch: --group: invariant factor chain broken: 2 does not divide 5\n'),
     ('verify --group 2,5 --theorem pm-general --output csv', 65, '', 'zerosum: hypothesis mismatch: --group: invariant factor chain broken: 2 does not divide 5\n'),
-    ('compute --group 2,6 --weights pm --kind harborth --output json --perf', 0, '{"formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "kind": "harborth", "nodes_visited": 266, "schema": 1, "type": "search_report", "value": 8, "verdict": "AGREE", "wall_time_ms": <ms>, "weights": [1, 5], "witness": "(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)"}\n', ''),
+    ('compute --group 2,6 --weights pm --kind harborth --output json --perf', 0, '{"formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "kind": "harborth", "nodes_visited": 201, "schema": 1, "type": "search_report", "value": 8, "verdict": "AGREE", "wall_time_ms": <ms>, "weights": [1, 5], "witness": "(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)"}\n', ''),
     ('verify --group 2,6 --theorem pm-general --output csv --perf', 0, 'side,sequence,ms\n,,<ms>\n', ''),
     ('enumerate --group 4 --weights pm --perf', 0, 'group: 4\nweights: pm\nvalue: 4\ncount: 4\n(0);(1);(2)\n(0);(1);(3)\n(0);(2);(3)\n(1);(2);(3)\nms: <ms>\n', ''),
 ]
@@ -442,14 +493,25 @@ def test_output_bytes_are_pinned(capsys, command, code, out, err):
 
 @pytest.mark.parametrize("output", ["text", "json", "csv"])
 def test_enumerate_writes_each_literal_once(capsys, monkeypatch, output):
+    # each literal is joined straight from a member's index tuple: an
+    # enumerate builds one Sequence, the witness, and none per member, and
+    # writes what each member's Sequence.literal() gives
+    from zerosum.inverse import enumerate_extremal
     from zerosum.sequences import Sequence
 
-    calls = []
-    literal = Sequence.literal
-    monkeypatch.setattr(Sequence, "literal", lambda self: calls.append(1) or literal(self))
-    code, _, _ = run(capsys, "enumerate", "--group", "2,6", "--weights", "pm", "--output", output)
+    built = []
+    post_init = Sequence.__post_init__
+    monkeypatch.setattr(Sequence, "__post_init__", lambda self: built.append(1) or post_init(self))
+    code, out, _ = run(capsys, "enumerate", "--group", "2,6", "--weights", "pm", "--output", output)
     assert code == 0
-    assert len(calls) == 36  # the census size
+    assert len(built) == 1  # the census has 36 members
+    monkeypatch.undo()
+    census = enumerate_extremal(cli.parse_group("2,6"), cli.WeightSet.plus_minus(6))
+    literals = [Sequence.from_indices(census.group, idxs).literal() for idxs in census.member_indices]
+    if output == "json":
+        assert json.loads(out)["members"] == literals
+    else:
+        assert out.splitlines()[-36:] == [f'"{m}"' if output == "csv" else m for m in literals]
 
 
 # -- README examples ---------------------------------------------------------------

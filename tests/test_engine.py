@@ -1,6 +1,7 @@
 """Search engine checks: known small values, witness contracts, determinism."""
 
 import ast
+import collections
 import functools
 import gc
 import inspect
@@ -8,9 +9,11 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -30,7 +33,7 @@ from zerosum.engine import (
     failing_census,
     harborth,
 )
-from zerosum.groups import GroupSpec, parse_group
+from zerosum.groups import GroupSpec, parse_group, symmetries
 from zerosum.sequences import (
     Sequence,
     WeightSet,
@@ -530,10 +533,10 @@ def _class_walk_cases():
 
 @pytest.mark.parametrize("kind, spec, wspec", list(_class_walk_cases()))
 def test_class_walk_matches_the_element_walk(kind, spec, wspec):
-    # the class walk with its probe, and the census lifted from its ties,
-    # give the element walk's value, colex-least witness and census; when
-    # every class is one element the class walk is the element walk, node
-    # for node
+    # the plan with its probe, and the census lifted from the class walk's
+    # ties, give the element walk's value, colex-least witness and census;
+    # when every class is one element the census walk is the element walk,
+    # node for node
     g = parse_group(spec)
     w = WeightSet.parse(wspec, g.exponent)
     length, hits, census_nodes = _element_walk(kind, g, w, ties=True)
@@ -544,7 +547,7 @@ def test_class_walk_matches_the_element_walk(kind, spec, wspec):
     assert report.witness == census_report.witness == Sequence.from_indices(g, witness)
     assert list(census) == hits and hits[0] == witness
     if engine._stabiliser(w) == (1,):
-        assert (report.nodes_visited, census_report.nodes_visited) == (nodes, census_nodes)
+        assert census_report.nodes_visited == census_nodes
 
 
 def test_classes_of_plus_minus_and_unit_weights():
@@ -573,6 +576,119 @@ def test_lift_counts_every_member_of_a_class():
     multisets = engine._lift([(3, 3, 0), (3, 0, 0)], orbit, multiset=True)
     assert len(multisets) == math.comb(4, 2) + 3
     assert multisets == sorted(multisets) and (1, 1, 0) in multisets and (3, 0, 0) in multisets
+
+
+
+# -- symmetry-forced plans ---------------------------------------------------------
+
+
+def _is_affine_bijection(g, m):
+    add = g.add_table
+    return sorted(m) == list(range(g.order)) and all(
+        add[m[x]][m[y]] == add[m[add[x][y]]][m[0]] for x in range(g.order) for y in range(g.order))
+
+
+@pytest.mark.parametrize("spec, torsion, size", [
+    ("2,12", 1, 16), ("2,12", 2, 64), ("2,12", 0, 384), ("4,8", 1, 128), ("3,3", 1, 48), ("2,2,2", 0, 1344),
+])
+def test_symmetries_are_affine_bijections(spec, torsion, size):
+    # |Aut(C2 + C12)| = 16, |Aut(C4 + C8)| = 128, |GL(2,3)| = 48 and
+    # |GL(3,2)| = 168, times the translations by G[2] (4 on 2,12) or by G
+    g = parse_group(spec)
+    maps = symmetries(g, torsion)
+    assert len(maps) == len(set(maps)) == size
+    assert {m[0] for m in maps} == {h for h in range(g.order) if g.scale_index(torsion, h) == 0}
+    assert all(_is_affine_bijection(g, m) for m in maps)
+    units = {g.scale_table[u] for u in range(1, g.exponent) if math.gcd(u, g.exponent) == 1}
+    assert units <= set(maps)
+
+
+def test_symmetries_fall_back_to_a_subgroup_on_large_groups():
+    # C2^6 has about 2*10^10 automorphisms: the build keeps the 720
+    # permutations of its factors, or with its 64 translations the identity
+    # alone; 8,8 lists all 1,536 automorphisms, but with its 64 translations
+    # keeps the 32 sending each basis element to a unit multiple of one
+    started = time.perf_counter()
+    for spec, torsion, size in (("2,2,2,2,2,2", 1, 720), ("2,2,2,2,2,2", 0, 64), ("8,8", 0, 32 * 64),
+                                ("8,8", 1, 1536)):
+        maps = symmetries.__wrapped__(parse_group(spec), torsion)
+        assert len(maps) == len(set(maps)) == size
+    assert time.perf_counter() - started < 3
+
+
+def _torsion(kind, w):
+    """The translations a kind keeps: all for classic harborth and egz,
+    G[2] for pm ones of even exponent, none otherwise (as ``symmetries``)."""
+    if kind in (ConstantKind.HARBORTH, ConstantKind.EGZ) and w.classes == (1,):
+        return 0
+    if kind in (ConstantKind.HARBORTH, ConstantKind.EGZ) and w.modulus % 2 == 0 and w == pm(w.modulus):
+        return 2
+    return 1
+
+
+def _failing_class_multisets(kind, g, w):
+    """Every nonempty failing sequence as the sorted tuple of its terms'
+    class tops, grown one class at a time through the kernel's push (a
+    squarefree kind pushes a class's members from the top down)."""
+    start, init, push, _, _ = engine._walk_parts(kind, g, w)
+    multiset = kind in engine._MULTISET_KINDS
+    tops, _, _, orbit = engine._classes(g, engine._stabiliser(w), start, multiset)
+    classes = [c for c in range(g.order) if tops >> c & 1]
+    failing, frontier = set(), {(): init}
+    while frontier:
+        grown = {}
+        for ms, state in frontier.items():
+            for c in classes:
+                used = ms.count(c)
+                if (ms and c < ms[-1]) or (not multiset and used == len(orbit[c])):
+                    continue
+                new = push(state, c if multiset else orbit[c][used])
+                if new is not None:
+                    grown[ms + (c,)] = new
+        failing.update(grown)
+        frontier = grown
+    return failing, orbit
+
+
+def _plan_cases():
+    for spec in ("3", "4", "5", "6", "7", "8", "2,2", "2,4", "2,6", "3,3", "2,2,2"):
+        g = parse_group(spec)
+        for kind in _MASKED_KINDS:
+            for wspec in dict.fromkeys(["pm", "classic"]):
+                # egz multisets on the larger groups number in the millions
+                if kind is not ConstantKind.EGZ or g.order <= 6:
+                    yield kind, spec, wspec
+        yield ConstantKind.CRITICAL, spec, None
+
+
+@pytest.mark.parametrize("kind, spec, wspec", list(_plan_cases()))
+def test_plan_covers_every_failing_sequence(kind, spec, wspec, monkeypatch):
+    # at every depth, every failing sequence has an image under the
+    # symmetries that some job reaches: one of its forced prefixes, or its
+    # forced terms and then classes the job allows; the images of failing
+    # sequences all fail, and the search finds the brute-force value
+    g = parse_group(spec)
+    w = WeightSet.parse(wspec, g.exponent) if wspec else None
+    failing, orbit = _failing_class_multisets(kind, g, w)
+    maps = symmetries(g, 1 if w is None else _torsion(kind, w))
+    for depth in (1, 2, 3):
+        monkeypatch.setattr(engine, "_FORCED_TERMS", depth)
+        engine._plan.cache_clear()
+        reached = set()
+        for forced, start in engine._plan(kind, g, w):
+            forced = [orbit[c][0] for c in forced]
+            reached.update(tuple(sorted(forced[:i])) for i in range(1, len(forced)))
+            allowed = {orbit[c][0] for c in range(g.order) if start >> c & 1}
+            for ms in failing:
+                rest = collections.Counter(ms)
+                rest.subtract(forced)
+                if min(rest.values()) >= 0 and all(c in allowed for c, k in rest.items() if k):
+                    reached.add(ms)
+        covered = {tuple(sorted(orbit[m[c]][0] for c in ms)) for ms in reached & failing for m in maps}
+        assert covered == failing, depth
+        assert compute_constant(kind, g, w).value == max(map(len, failing), default=0) + 1
+    monkeypatch.undo()
+    engine._plan.cache_clear()  # drop the plans of other depths
 
 
 # -- witness contracts -------------------------------------------------------------
@@ -719,34 +835,40 @@ def test_cap_overrun_is_an_internal_error(monkeypatch):
         egz(parse_group("2"), classic(2))
 
 
-def _walk_ends(monkeypatch):
-    """Spy on ``engine._walk``: the returned list gets the running node
-    total at the end of each walk."""
-    ends = []
+def _walk_spans(monkeypatch):
+    """Spy on ``engine._walk``: the returned list gets ``(phase, spent,
+    total)`` for each walk, the running node totals at its start and end."""
+    spans = []
     walk = engine._walk
 
     def recording(*args, **kwargs):
         out = walk(*args, **kwargs)
-        ends.append(out[3])
+        spans.append((kwargs.get("phase", "class walk"), kwargs.get("spent", 0), out[3]))
         return out
 
     monkeypatch.setattr(engine, "_walk", recording)
-    return ends
+    return spans
 
 
 def test_value_search_is_one_walk(monkeypatch):
-    # one class walk with one cap: no shorter-capped round is walked and
-    # thrown away; when some class has more than one element, one probe
-    # over the elements follows it for the witness, and counts on from it
-    ends = _walk_ends(monkeypatch)
-    r = eta(parse_group("2,2,2,2"), classic(2))
-    assert r.value == 16
-    assert ends == [r.nodes_visited] == [32_767]  # one push per zero-sum-free chain
-    assert r.witness == Sequence.full_squarefree(parse_group("2,2,2,2")).remove_index(0)
-    ends.clear()
-    r = harborth(parse_group("2,6"), pm(6))
-    assert r.value == 8
-    assert ends == [134, r.nodes_visited] == [134, 266]
+    # each job of the plan is one walk with one cap, in plan order: no
+    # shorter-capped round is walked and thrown away; one probe over the
+    # elements follows the jobs for the witness, and counts on from them
+    spans = _walk_spans(monkeypatch)
+    for search, spec, w, value, probe in ((eta, "2,2,2,2", classic(2), 16, (8_789, 41_556)),
+                                          (harborth, "2,6", pm(6), 8, (69, 201))):
+        spans.clear()
+        g = parse_group(spec)
+        r = search(g, w)
+        assert r.value == value
+        *jobs, last = spans
+        assert last == ("witness probe", *probe) and probe[1] == r.nodes_visited
+        m = len(engine._plan(ConstantKind(search.__name__), g, w))
+        numbers = [int(phase.split()[1]) for phase, _, _ in jobs]
+        assert numbers == sorted(set(numbers)) and all(phase.endswith(f" of {m}") for phase, _, _ in jobs)
+        assert all(a[2] <= b[1] for a, b in zip(spans, spans[1:]))
+        if search is eta:  # the one zero-sum-free set of 15 terms, which the probe reaches last
+            assert r.witness == Sequence.full_squarefree(g).remove_index(0)
 
 
 def test_room_bound_prunes_nonempty_sum_walks():
@@ -755,10 +877,10 @@ def test_room_bound_prunes_nonempty_sum_walks():
     # davenport 140,509 before its live masks
     g = parse_group("2,12")
     r = davenport(g, classic(12))
-    assert (r.value, r.witness.literal(), r.nodes_visited) == (13, "(1,0);(0,1)^11", 56_555)
+    assert (r.value, r.witness.literal(), r.nodes_visited) == (13, "(1,0);(0,1)^11", 5_455)
     g = parse_group("4,8")
     r = critical_number(g)
-    assert (r.value, r.nodes_visited) == (16, 85_186)
+    assert (r.value, r.nodes_visited) == (16, 21_367)
     assert r.witness == Sequence.from_indices(g, [g.index_of((x, y)) for y in (0, 2, 4, 6) for x in range(4)
                                                   if (x, y) != (0, 0)])
 
@@ -774,10 +896,10 @@ def test_budget_exceeded():
 
 
 @pytest.mark.parametrize("budget, raised", [(500, 501), (5_000, 5_001),
-                                            (13_391, 13_392), (13_392, None)])
+                                            (9_340, 9_341), (9_341, None)])
 def test_budget_is_global_across_roots(budget, raised):
-    # harborth 2,10 pm needs 13,392 nodes in all: 6,303 in a class walk over
-    # 12 roots, then 7,089 in the element probe
+    # harborth 2,10 pm needs 9,341 nodes in all: 2,252 in the 26 jobs of its
+    # plan, then 7,089 in the element probe
     g, w = parse_group("2,10"), pm(10)
     if raised is None:
         assert harborth(g, w, node_budget=budget).nodes_visited == budget
@@ -797,21 +919,19 @@ def test_budget_is_global_across_roots(budget, raised):
 ])
 def test_budget_counts_the_value_walk_and_the_census_scan(kind, spec, wspec, monkeypatch):
     # a census is one class walk, so its budget is one count; a value search
-    # is the class walk and, when some class has more than one element, an
-    # element probe, and one budget covers both
+    # is the jobs of its plan and an element probe, and one budget covers all
     g = parse_group(spec)
     w = WeightSet.parse(wspec, g.exponent) if wspec else None
-    ends = _walk_ends(monkeypatch)
+    spans = _walk_spans(monkeypatch)
     report, census = failing_census(kind, g, w)
-    assert ends == [report.nodes_visited]
+    assert spans == [("class walk", 0, report.nodes_visited)]
     assert census[0] == report.witness
-    ends.clear()
+    spans.clear()
     value_report = compute_constant(kind, g, w)
     monkeypatch.undo()
-    probed = wspec == "pm" and g.exponent > 2
-    assert len(ends) == 1 + probed and ends[-1] == value_report.nodes_visited
+    assert spans[-1][0] == "witness probe" and spans[-1][2] == value_report.nodes_visited
     assert (value_report.value, value_report.witness) == (report.value, report.witness)
-    for search, total in ((failing_census, report.nodes_visited), (compute_constant, ends[-1])):
+    for search, total in ((failing_census, report.nodes_visited), (compute_constant, value_report.nodes_visited)):
         # the first node, a middle node, the very last node
         for budget in (0, total // 2, total - 1):
             with pytest.raises(SearchBudgetExceeded) as exc:
@@ -819,27 +939,48 @@ def test_budget_counts_the_value_walk_and_the_census_scan(kind, spec, wspec, mon
             assert exc.value.nodes == budget + 1
     again, again_census = failing_census(kind, g, w, node_budget=report.nodes_visited)
     assert again.to_dict() == report.to_dict() and again_census == census
-    assert compute_constant(kind, g, w, node_budget=ends[-1]).to_dict() == value_report.to_dict()
+    assert compute_constant(kind, g, w, node_budget=value_report.nodes_visited).to_dict() == value_report.to_dict()
 
 
 @pytest.mark.parametrize("kind, spec", [(ConstantKind.HARBORTH, "2,8"), (ConstantKind.EGZ, "2,4"),
                                         (ConstantKind.DAVENPORT, "2,6")])
 def test_budget_runs_out_inside_the_probe(kind, spec, monkeypatch):
-    # the probe counts on from the class walk's total, so a budget that runs
-    # out in the probe still aborts at node budget + 1, and the class walk's
-    # nodes plus the probe's are exactly enough
+    # the probe counts on from the jobs' total, so a budget that runs out in
+    # the probe still aborts at node budget + 1, and the jobs' nodes plus the
+    # probe's are exactly enough
     g = parse_group(spec)
     w = pm(g.exponent)
-    ends = _walk_ends(monkeypatch)
+    spans = _walk_spans(monkeypatch)
     report = compute_constant(kind, g, w)
     monkeypatch.undo()
-    classes, total = ends
-    assert classes < total == report.nodes_visited
-    for budget in (classes, (classes + total) // 2, total - 1):
+    phase, jobs, total = spans[-1]
+    assert phase == "witness probe" and jobs < total == report.nodes_visited
+    for budget in (jobs, (jobs + total) // 2, total - 1):
         with pytest.raises(SearchBudgetExceeded) as exc:
             compute_constant(kind, g, w, node_budget=budget)
-        assert exc.value.nodes == budget + 1
+        assert (exc.value.nodes, exc.value.phase) == (budget + 1, "witness probe")
     assert compute_constant(kind, g, w, node_budget=total) == report
+
+
+def test_budget_aborts_name_their_phase(monkeypatch):
+    # one budget runs through the jobs and the probe: a budget one short of
+    # the last node of a job's walk, or of the probe, stops at that node and
+    # names the part of the search it stopped in; so does a forced push
+    g, w = parse_group("2,10"), pm(10)
+    spans = _walk_spans(monkeypatch)
+    harborth(g, w)
+    monkeypatch.undo()
+    *jobs, probe = spans
+    job = max(jobs, key=lambda span: span[2] - span[1])  # a job whose walk pushes
+    assert re.fullmatch(r"job \d+ of 26", job[0]) and probe[0] == "witness probe"
+    for phase, _, last in (job, probe, ("job 1 of 26", 0, 1)):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            harborth(g, w, node_budget=last - 1)
+        assert (exc.value.nodes, exc.value.phase) == (last, phase)
+        assert str(exc.value) == f"search exceeded node budget ({last} > {last - 1}) in {phase}"
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        failing_census(ConstantKind.HARBORTH, g, w, node_budget=100)
+    assert (exc.value.nodes, exc.value.phase) == (101, "class walk")
 
 
 def test_budget_bounds_exists_failing_sequence():
