@@ -101,8 +101,10 @@ def enumerate_extremal(group: GroupSpec, weights: WeightSet, *, node_budget: int
     member's prefixes and pushes only the suffix in which the next member
     differs; each member ends on the word a push from scratch gives.  The
     oracle shares nothing with the kernel: for one weight class it lists the
-    smaller side of each kept/dropped split, else it recurses over weight
-    assignments, and ``oracle_ops`` prices the one that runs."""
+    smaller side of each kept/dropped split while that is cheap, else it
+    runs a DP over lengths.  ``oracle_ops`` is the sample rule's price, not
+    the oracle's cost: a DP over every pm member measured slower than the
+    kernel re-check plus this sample, so the rule stays as it is."""
     report, found = failing_census(ConstantKind.HARBORTH, group, weights, node_budget=node_budget)
     census = tuple(sorted(found))
     exp = group.exponent

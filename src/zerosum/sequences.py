@@ -11,9 +11,11 @@ AND decides beforehand whether the term adds a forbidden zero-sum.
 ``weighted_length_sums_oracle`` recomputes the same data by enumerating all
 subsequences and weight assignments directly.  It is exponential and exists
 so the table (and every search built on it) can be checked against an
-implementation that shares no machinery with it, and so do the ``oracle_*``
-functions (for one weight class, by subsets of the smaller side of each
-kept/dropped split).
+implementation that shares no machinery with it.  The ``oracle_*``
+functions answer the searches' questions the same independent way, from the
+addition and scaling tables alone, in polynomial time: by a DP over lengths
+on plain sets, or for one weight class by the subsets of the smaller side of
+each kept/dropped split while those are few.
 """
 
 from __future__ import annotations
@@ -381,8 +383,7 @@ def weighted_length_sums_oracle(seq: Sequence, weights: WeightSet) -> dict[int, 
 
 def oracle_has_weighted_zero_of_length(seq: Sequence, weights: WeightSet, length: int) -> bool:
     """Same question as has_weighted_zero_of_length, answered with no shared
-    machinery: by subset enumeration for a single weight class, else by
-    direct recursion over weight assignments."""
+    machinery, by ``oracle_terms_have_zero_of_length``."""
     if weights.modulus != seq.group.exponent:
         raise ValueError("weight modulus does not match the group exponent")
     return oracle_terms_have_zero_of_length(seq.group, weights, seq.indices(), length)
@@ -396,24 +397,25 @@ def oracle_terms_have_zero_of_length(group: GroupSpec, weights: WeightSet, terms
     With one weight class w, a kept subset K has the single weighted sum
     w*sigma(K) = w*sigma(S) - w*sigma(D), D the dropped terms, so it is 0
     exactly when w*sigma(D) = w*sigma(S); the oracle lists the combinations
-    of whichever side is smaller, min(length, count - length) terms.
-    Several classes take the recursion over weight assignments.
-    ``oracle_ops`` estimates the cost of either.
+    of whichever side is smaller, m = min(length, count - length) terms,
+    while those C(count, m)*m reads cost no more than the length DP's
+    count*(count - length + 1)*|G|.  Otherwise it reads row ``length`` of
+    the DP (``_zero_in_rows``).
     """
     count = len(terms)
     if length == 0:
         return True
     if length > count:
         return False
-    add = group.add_table
-    if len(weights.classes) == 1:
-        times_w = group.scale_table[weights.classes[0]]
-        side, target = length, 0
-        if length > count - length:
+    side = min(length, count - length)
+    if len(weights.classes) == 1 and comb(count, side) * side <= count * (count - length + 1) * group.order:
+        add, times_w = group.add_table, group.scale_table[weights.classes[0]]
+        target = 0
+        if side < length:  # list the dropped terms
             total = 0
             for t in terms:
                 total = add[total][t]
-            side, target = count - length, times_w[total]
+            target = times_w[total]
         for subset in combinations(terms, side):
             acc = 0
             for t in subset:
@@ -421,30 +423,16 @@ def oracle_terms_have_zero_of_length(group: GroupSpec, weights: WeightSet, terms
             if times_w[acc] == target:
                 return True
         return False
-    scaled = [[group.scale_table[w][i] for w in weights.classes] for i in terms]
-
-    def rec(pos: int, left: int, acc: int) -> bool:
-        if left == 0:
-            return acc == 0
-        if count - pos < left:
-            return False
-        if rec(pos + 1, left, acc):
-            return True
-        row = add[acc]
-        for s in scaled[pos]:
-            if rec(pos + 1, left - 1, row[s]):
-                return True
-        return False
-
-    try:
-        return rec(0, length, 0)
-    finally:
-        rec = None  # rec reaches itself through its closure; free it now
+    return _zero_in_rows(group, weights, terms, length, length)
 
 
 def oracle_ops(weights: WeightSet, count: int, length: int) -> int:
-    """About how many table reads ``oracle_terms_have_zero_of_length`` makes
-    on ``count`` terms when no zero-sum stops it early."""
+    """The price ``enumerate_extremal``'s sample rule puts on one length
+    oracle call on ``count`` terms: for one weight class C(count, m)*m,
+    m = min(length, count - length), the reads of the subset complement; for
+    several C(count, length)*|W|^length*length, the reads of a recursion
+    over weight assignments.  The oracle's DP costs far less there, but a DP
+    over every member measured slower than the sample this price keeps."""
     if not 0 < length <= count:
         return 0
     if len(weights.classes) == 1:
@@ -455,33 +443,39 @@ def oracle_ops(weights: WeightSet, count: int, length: int) -> int:
 
 def oracle_has_weighted_zero_up_to(seq: Sequence, weights: WeightSet, maxlen: int) -> bool:
     """Whether some nonempty subsequence of length <= maxlen has a weighted
-    zero-sum; recursive, independent of the table machinery."""
+    zero-sum: rows 1..maxlen of the length DP (``_zero_in_rows``),
+    independent of the table machinery."""
     if weights.modulus != seq.group.exponent:
         raise ValueError("weight modulus does not match the group exponent")
-    g = seq.group
-    terms = seq.indices()
-    scaled = [[g.scale_index(w, i) for w in weights.classes] for i in terms]
+    return _zero_in_rows(seq.group, weights, seq.indices(), 1, maxlen)
 
-    def rec(pos: int, used: int, acc: int) -> bool:
-        if used > 0 and acc == 0:
-            return True
-        if pos == len(terms) or used == maxlen:
-            return False
-        if rec(pos + 1, used, acc):
-            return True
-        for s in scaled[pos]:
-            if rec(pos + 1, used + 1, g.add_indices(acc, s)):
+
+def _zero_in_rows(group: GroupSpec, weights: WeightSet, terms: tuple[int, ...], low: int, high: int) -> bool:
+    """Whether some subsequence of ``low`` to ``high`` terms, low >= 1, has 0
+    among its weighted sums, by a DP over lengths on plain sets.
+
+    ``rows[j]`` holds the weighted sums of the length-j subsequences of the
+    terms read so far.  Each term updates the highest row first, so the row
+    below still lacks the term when it is read.  After term p, count - p - 1
+    terms are left, so a row below low - (count - p - 1) can no longer reach
+    ``low`` and the pass skips it.  The first 0 in a row from low to high
+    stops the DP.
+    """
+    count = len(terms)
+    rows = [{0}] + [set() for _ in range(high)]
+    for p, t in enumerate(terms):
+        shifts = [group.add_table[s] for s in {group.scale_table[w][t] for w in weights.classes}]
+        for j in range(min(high, p + 1), max(low - (count - p - 1), 1) - 1, -1):
+            row, below = rows[j], rows[j - 1]
+            for shift in shifts:
+                row.update(map(shift.__getitem__, below))
+            if j >= low and 0 in row:
                 return True
-        return False
-
-    try:
-        return rec(0, 0, 0)
-    finally:
-        rec = None  # rec reaches itself through its closure; free it now
+    return False
 
 
 def oracle_nonempty_subsums(seq: Sequence) -> set[int]:
-    """Nonempty subsequence sums as a plain set, by recursion."""
+    """Nonempty subsequence sums as a plain set, grown one term at a time."""
     g = seq.group
     out: set[int] = set()
     for i in seq.indices():

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,14 @@ def test_compute_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "kind,group,weights,value,witness,nodes,formula,tag,verdict"
     assert lines[1].startswith('harborth,"2,6",classic,9,')
+
+
+def test_compute_all_unit_weights_on_c12_finishes(capsys):
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "compute", "--group", "12", "--kind", "egz", "--weights", "1,5,7,11")
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert "value: 15\nwitness: (0)^11;(1);(2);(4)\n" in out
 
 
 def test_compute_critical_needs_no_weights(capsys):

@@ -616,6 +616,23 @@ def test_symmetries_fall_back_to_a_subgroup_on_large_groups():
         assert len(maps) == len(set(maps)) == size
 
 
+@pytest.mark.parametrize("kind, spec, wspec, value, witness", [
+    (ConstantKind.EGZ, "12", "1,5,7,11", 15, "(0)^11;(1);(2);(4)"),
+    (ConstantKind.EGZ, "10", "1,3,7,9", 12, "(0)^9;(1);(2)"),
+    (ConstantKind.ETA, "12", "1,5,7,11", 4, "(1);(2);(4)"),
+    (ConstantKind.ETA, "10", "1,3,7,9", 3, "(1);(2)"),
+], ids=["egz-12", "egz-10", "eta-12", "eta-10"])
+def test_all_unit_weights_on_cyclic_groups_finish(kind, spec, wspec, value, witness):
+    # four weight classes: the witness check reads the length DP's rows, where
+    # a recursion over weight assignments would make about 1.8*10^10 table
+    # reads on the egz C12 witness
+    g = parse_group(spec)
+    started = time.perf_counter()
+    report = compute_constant(kind, g, WeightSet.parse(wspec, g.exponent))
+    assert time.perf_counter() - started < 1
+    assert (report.value, report.witness.literal()) == (value, witness)
+
+
 def _torsion(kind, w):
     """The translations a kind keeps: all for classic harborth and egz,
     G[2] for pm ones of even exponent, none otherwise (as ``symmetries``)."""

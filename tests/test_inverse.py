@@ -127,10 +127,12 @@ def test_prefix_shared_recheck_catches_a_bad_member(spec, wspec, how, monkeypatc
         enumerate_extremal(g, w)
 
 
-@pytest.mark.parametrize("spec, wspec, size, sampled", [("2,8", "classic", 4896, None), ("2,10", "pm", 1260, 8)])
+@pytest.mark.parametrize("spec, wspec, size, sampled", [("2,8", "classic", 4896, None), ("2,10", "pm", 1260, 8),
+                                                        ("4,4", "pm", 1152, None), ("2,8", "pm", 256, 8)])
 def test_oracle_sample_rule(spec, wspec, size, sampled, monkeypatch):
-    """The oracle checks every member while its cost allows, else eight
-    spread over the sorted census."""
+    """The oracle checks every member while ``oracle_ops`` allows, else
+    eight spread over the sorted census: all of 4,4 pm's members but eight
+    of 2,8 pm's, although the length DP would check either in full."""
     g = parse_group(spec)
     w = WeightSet.parse(wspec, g.exponent)
     seen = []

@@ -408,21 +408,31 @@ def test_enumerate_squarefree_counts_and_order():
         enumerate_squarefree(g, 9, seen.append)
 
 
-def test_recursive_oracles_match_full_enumeration():
+_DP_GRID = [([2, 4], "pm"), ([2, 4], "classic"), ([6], "pm"), ([6], "classic"), ([8], "1,3,5,7"),
+            ([10], "1,3,7,9"), ([12], "1,5,7,11"), ([8], "1,3"), ([6], "0,1"), ([6], "1,2"), ([6], "2,3")]
+
+
+def test_length_dp_oracles_match_full_enumeration():
+    """Both oracles, and the length DP under them, against brute force:
+    pm and classic; several classes (all units on C8, C10 and C12, {1,3} on
+    C8, sets holding 0 or a non-unit on C6); multisets with repeated terms;
+    every length 0..count + 1, so the rows the DP skips meet the edge past
+    which they could still reach the length."""
     rng = random.Random(11)
-    for spec in ([2, 4], [6]):
+    for spec, wspec in _DP_GRID:
         g = GroupSpec(spec)
-        for _ in range(40):
-            seq = Sequence.from_indices(
-                g, [rng.randrange(g.order) for _ in range(rng.randint(0, 5))]
-            )
-            w = WeightSet.plus_minus(g.exponent) if rng.random() < 0.5 else WeightSet.classic(g.exponent)
+        w = WeightSet.parse(wspec, g.exponent)
+        for _ in range(25):
+            pool = rng.sample(range(g.order), rng.randint(1, 4))  # few values, so terms repeat
+            seq = Sequence.from_indices(g, [rng.choice(pool) for _ in range(rng.randint(0, 6))])
             table = weighted_length_sums_oracle(seq, w)
-            for ln in range(seq.length + 1):
-                assert oracle_has_weighted_zero_of_length(seq, w, ln) == (0 in table[ln])
-            for cap in range(seq.length + 1):
-                expect = any(0 in table[ln] for ln in range(1, cap + 1))
-                assert oracle_has_weighted_zero_up_to(seq, w, cap) == expect
+            for ln in range(seq.length + 2):
+                want = 0 in table.get(ln, ())
+                assert oracle_has_weighted_zero_of_length(seq, w, ln) == want, (spec, wspec, seq, ln)
+                if ln:
+                    assert sequences._zero_in_rows(g, w, seq.indices(), ln, ln) == want, (spec, wspec, seq, ln)
+                expect = any(0 in table.get(j, ()) for j in range(1, ln + 1))
+                assert oracle_has_weighted_zero_up_to(seq, w, ln) == expect, (spec, wspec, seq, ln)
 
 
 @pytest.mark.parametrize("factors", [[7], [8], [2, 6], [3, 3], [2, 2, 2]], ids=str)
@@ -448,7 +458,7 @@ def test_single_weight_oracle_matches_full_enumeration(factors):
     assert sides == {True, False}
 
 
-def test_oracle_takes_the_complement_for_one_class_and_recursion_for_several(monkeypatch):
+def test_oracle_takes_the_complement_for_one_class_when_cheaper_else_the_dp(monkeypatch):
     g = GroupSpec([2, 8])
     terms = (1, 2, 3, 5, 8, 9, 12, 14, 15)
     sides = []
@@ -465,7 +475,16 @@ def test_oracle_takes_the_complement_for_one_class_and_recursion_for_several(mon
     for length in (2, 7, 8):  # kept side 2; dropped sides 9 - 7 and 9 - 8
         oracle_terms_have_zero_of_length(g, WeightSet.classic(8), terms, length)
     assert sides == [2, 2, 1]
-    # the cost estimate follows the same choice
+    # egz C14's classic witness (0)^13;(1)^13 at length 14: the dropped side
+    # has 12 terms, C(26, 12)*12 reads against the DP's 26*13*14 set updates;
+    # at length 13 the kept side has 13; at length 25 the dropped side has 1
+    witness = (0,) * 13 + (1,) * 13
+    assert not oracle_terms_have_zero_of_length(GroupSpec([14]), WeightSet.classic(14), witness, 14)
+    assert oracle_terms_have_zero_of_length(GroupSpec([14]), WeightSet.classic(14), witness, 13)
+    assert not oracle_terms_have_zero_of_length(GroupSpec([14]), WeightSet.classic(14), witness, 25)
+    assert sides == [2, 2, 1, 1]
+    # the census sample rule's price: the complement's reads for one class,
+    # a recursion over weight assignments' for several
     assert oracle_ops(WeightSet.classic(8), 9, 8) == 9
     assert oracle_ops(WeightSet.classic(8), 9, 4) == math.comb(9, 4) * 4
     assert oracle_ops(WeightSet.plus_minus(8), 9, 8) == 9 * 2 ** 8 * 8
