@@ -47,16 +47,17 @@ job; the maximal failing length L is the best at the end.  Then one probe
 over the elements for L, whose first chain is the colex-least witness.  A
 census is one class walk that keeps its ties, each lifted to every failing
 sequence it stands for (``_lift``) and sorted into colex order, with the
-witness first; with one-element orbits the lift is the walk's own hits.  A
-census builds no Gamma and no plan.  Every walk is sequential, and its
-nodes depend only on the search inputs.  Roots (topmost elements) go in index
-order, and the bound carries from root to root.  One node budget covers
-every forced push, every job's walk and the probe, each counting on from
-the running total, and a search stops at the first node past it, naming
-the job, the probe or the class walk it stopped in, so node counts,
-witnesses and budget aborts are byte-stable across runs.  Reports carry no
-timing, so two identical searches return equal reports; the CLI times its
-calls for ``--perf``.
+witness first; with one-element orbits the lift is the walk's own hits.
+``failing_census`` returns the members as ascending index tuples, and
+``Sequence.from_indices`` turns one into a sequence.  A census builds no
+Gamma and no plan.  Every walk is sequential, and its nodes depend only on
+the search inputs.  Roots (topmost elements) go in index order, and the
+bound carries from root to root.  One node budget covers every forced push,
+every job's walk and the probe, each counting on from the running total,
+and a search stops at the first node past it, naming the job, the probe or
+the class walk it stopped in, so node counts, witnesses and budget aborts
+are byte-stable across runs.  Reports carry no timing, so two identical
+searches return equal reports; the CLI times its calls for ``--perf``.
 """
 
 from __future__ import annotations
@@ -162,6 +163,14 @@ def _node_budget(node_budget: int | None) -> int:
     if node_budget < 0:
         raise SearchInputError(f"node budget must be nonnegative, got {node_budget}")
     return node_budget
+
+
+def _check_weights(group: GroupSpec, weights: WeightSet | None, who: str) -> None:
+    """Refuse a missing weight set, or one whose modulus is not exp(G)."""
+    if weights is None:
+        raise SearchInputError(f"{who} needs a weight set")
+    if weights.modulus != group.exponent:
+        raise SearchInputError(f"weight modulus {weights.modulus} does not match exponent {group.exponent} of {group}")
 
 
 # -- node state ----------------------------------------------------------------
@@ -566,7 +575,8 @@ def _compute(
 ) -> tuple[SearchReport, tuple[tuple[int, ...], ...] | None]:
     """The report with the value and its colex-least witness, and with
     ``want_census`` every failing sequence of the maximal length as an
-    ascending index tuple, in colex order (else ``None``).
+    ascending index tuple, in colex order (else ``None``).  The value entry
+    points keep the report; ``failing_census`` keeps both.
 
     A value search runs the jobs of ``_plan`` to find the maximal failing
     length L, sharing the states of forced terms from one job to the next,
@@ -580,12 +590,7 @@ def _compute(
         if group.order < 3:
             raise SearchInputError(f"critical number needs |G| >= 3, got {group.order}")
     else:
-        if weights is None:
-            raise SearchInputError(f"{kind.value} needs a weight set")
-        if weights.modulus != group.exponent:
-            raise SearchInputError(
-                f"weight modulus {weights.modulus} does not match exponent {group.exponent} of {group}"
-            )
+        _check_weights(group, weights, kind.value)
     node_budget = _node_budget(node_budget)
     exp = group.exponent
     start, init_state, push, dead, room = _walk_parts(kind, group, weights)
@@ -696,23 +701,15 @@ def compute_constant(
     return _compute(kind, group, weights, node_budget=node_budget)[0]
 
 
-def failing_census_indices(
+def failing_census(
     kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, *, node_budget: int | None = None
 ) -> tuple[SearchReport, tuple[tuple[int, ...], ...]]:
     """The report plus every failing sequence of the maximal failing length,
-    each as its ascending tuple of element indices, in colex order."""
+    each as its ascending tuple of element indices, in colex order, so the
+    first is the witness's (``Sequence.from_indices`` builds a member)."""
     report, census = _compute(kind, group, weights, node_budget=node_budget, want_census=True)
     _check(census is not None, "a census search returns a census")
     return report, census
-
-
-def failing_census(
-    kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, *, node_budget: int | None = None
-) -> tuple[SearchReport, tuple[Sequence, ...]]:
-    """The report plus every failing sequence of the maximal failing length,
-    in colex order."""
-    report, census = failing_census_indices(kind, group, weights, node_budget=node_budget)
-    return report, tuple(Sequence.from_indices(group, idxs) for idxs in census)
 
 
 def exists_failing_sequence(
@@ -729,6 +726,7 @@ def exists_failing_sequence(
     kernel on ``_unit_scaled`` weights, whose rows j - 1 for j in
     ``zero_lengths`` list the children that close a zero-sum of length j;
     it stops at the first such sequence."""
+    _check_weights(group, weights, "exists_failing_sequence")
     zl = tuple(sorted(set(int(j) for j in zero_lengths)))
     if not zl or zl[0] < 1:
         raise SearchInputError("zero_lengths must be positive")

@@ -29,9 +29,7 @@ from functools import cached_property, lru_cache
 from math import comb
 from typing import Callable, NamedTuple
 
-from zerosum.engine import ConstantKind, InternalCheckError
-# bound under the engine's census name, which the benchmark's span recorder wraps
-from zerosum.engine import failing_census_indices as failing_census
+from zerosum.engine import ConstantKind, InternalCheckError, failing_census
 from zerosum.formulas import gw_equals_order_plus_one
 from zerosum.groups import GroupSpec, coset_index_mod_2G, doubling_subgroup
 from zerosum.sequences import (
@@ -42,7 +40,9 @@ from zerosum.sequences import (
     has_weighted_zero_of_length,
     oracle_ops,
     oracle_terms_have_zero_of_length,
+    sigma_index,
     subsum_kernel,
+    subsums_sigma0,
 )
 
 
@@ -212,15 +212,6 @@ def _halves_table(group: GroupSpec) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _sigma(group: GroupSpec, idxs: tuple[int, ...]) -> int:
-    """The index of sigma(S), the sum of the terms."""
-    add = group.add_table
-    total = 0
-    for idx in idxs:
-        total = add[total][idx]
-    return total
-
-
 def predicate_c2c4_pm(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     """Extremal shape over C2 x C4 with both signs allowed: the support meets
     exactly three of the four classes of G/2G.  A basis's halves are the two
@@ -256,7 +247,7 @@ def predicate_unweighted_even(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     sigma(S) lies in S."""
     if not _is_squarefree_of_length(idxs, _shape_length(TheoremId.UNWEIGHTED_EVEN, group)):
         return False
-    return _sigma(group, idxs) not in idxs
+    return sigma_index(group, idxs) not in idxs
 
 
 def predicate_unweighted_odd(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
@@ -270,7 +261,7 @@ def predicate_unweighted_odd(group: GroupSpec, idxs: tuple[int, ...]) -> bool:
     it fails anyway, as 2n + 2 terms fill some pair {x, sigma(S) - x}.)"""
     if not _is_squarefree_of_length(idxs, _shape_length(TheoremId.UNWEIGHTED_ODD, group)):
         return False
-    sig = _sigma(group, idxs)
+    sig = sigma_index(group, idxs)
     reflect = group.add_table[sig]
     neg = group.scale_table[-1]
     support = mirror = 0
@@ -481,8 +472,6 @@ def check_doubled_subsums_full(seq: Sequence) -> bool:
     """For a maximal failing sequence over C2 x C2n (n >= 3, both signs), the
     doubled subsums of every one-term-removed subsequence fill the doubled
     subgroup.  Validates the input is such a sequence first."""
-    from zerosum.sequences import subsums_sigma0
-
     group = seq.group
     if not seq.is_squarefree or seq.length != _shape_length(TheoremId.PM_GENERAL, group):
         raise ValueError("expected a maximal failing squarefree sequence of length 2n + 1")

@@ -224,23 +224,18 @@ class Sequence:
 # -- plain subsums ------------------------------------------------------------
 
 
+def sigma_index(group: GroupSpec, idxs: Iterable[int]) -> int:
+    """The index of sigma(S), the sum of the terms, for S as element indices."""
+    add = group.add_table
+    total = 0
+    for idx in idxs:
+        total = add[total][idx]
+    return total
+
+
 def sigma(seq: Sequence) -> GroupElement:
     """The sum of all terms (the empty sequence sums to 0)."""
-    g = seq.group
-    acc = 0
-    for i, m in enumerate(seq.mult):
-        if m:
-            acc = g.add_indices(acc, g.scale_index(m, i))
-    return GroupElement(g, acc)
-
-
-def subsums_sigma0(seq: Sequence) -> SumSet:
-    """All subsequence sums including the empty one."""
-    g = seq.group
-    bits = 1
-    for i in seq.indices():
-        bits |= g.translate_bits(bits, i)
-    return SumSet(g, bits)
+    return GroupElement(seq.group, sigma_index(seq.group, seq.indices()))
 
 
 def nonempty_subsums(seq: Sequence) -> SumSet:
@@ -250,6 +245,11 @@ def nonempty_subsums(seq: Sequence) -> SumSet:
     for i in seq.indices():
         ne = ne | g.translate_bits(ne, i) | (1 << i)
     return SumSet(g, ne)
+
+
+def subsums_sigma0(seq: Sequence) -> SumSet:
+    """All subsequence sums including the empty one."""
+    return SumSet(seq.group, nonempty_subsums(seq).bits | 1)
 
 
 # -- weighted subsums ----------------------------------------------------------

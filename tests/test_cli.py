@@ -149,6 +149,14 @@ def test_compute_disagree_exits_2(capsys, monkeypatch):
     assert "verdict: DISAGREE" in out
 
 
+def test_compute_interval_formula(capsys):
+    # 3,3 pm has only log bounds, and the value 3 lies inside them
+    code, out, _ = run(capsys, "compute", "--group", "3,3", "--kind", "davenport", "--weights", "pm")
+    assert code == 0
+    assert "value: 3\n" in out and "nodes: 6\n" in out
+    assert "formula: 3..4 [davenport-pm-log-bounds]\nverdict: AGREE\n" in out
+
+
 # -- usage and budget errors ---------------------------------------------------------
 
 
@@ -444,6 +452,17 @@ def test_table_perf_times_each_searched_row(capsys):
     assert "BUDGET" in lines[4] and lines[4] == plain_lines[4]
 
 
+def test_table_disagree_exits_2(capsys, monkeypatch):
+    from zerosum.formulas import FormulaValue
+
+    monkeypatch.setattr(cli, "formula_for",
+                        lambda kind, group, weights: FormulaValue.point("stub", 5))
+    code, out, _ = run(capsys, "table", "--family", "2,2n", "--range", "1:3",
+                       "--kind", "harborth", "--weights", "pm")
+    assert code == 2
+    assert [line.split()[4] for line in out.splitlines()[1:]] == ["AGREE", "AGREE", "DISAGREE"]
+
+
 def test_table_bad_range_exits_64(capsys):
     code, _, err = run(capsys, "table", "--family", "2,2n", "--range", "5",
                        "--kind", "harborth", "--weights", "pm")
@@ -452,6 +471,10 @@ def test_table_bad_range_exits_64(capsys):
     code, _, err = run(capsys, "table", "--family", "2,2n", "--range", "3:2",
                        "--kind", "harborth", "--weights", "pm")
     assert code == 64
+    code, _, err = run(capsys, "table", "--family", "2,2n", "--range", "a:3",
+                       "--kind", "harborth", "--weights", "pm")
+    assert code == 64
+    assert "--range" in err
 
 
 def test_table_cyclic_range_floor(capsys):

@@ -542,7 +542,7 @@ def test_class_walk_matches_the_element_walk(kind, spec, wspec):
     length, hits, census_nodes = _element_walk(kind, g, w, ties=True)
     _, (witness,), nodes = _element_walk(kind, g, w, ties=False)
     report = compute_constant(kind, g, w)
-    census_report, census = engine.failing_census_indices(kind, g, w)
+    census_report, census = engine.failing_census(kind, g, w)
     assert report.value == census_report.value == length + 1
     assert report.witness == census_report.witness == Sequence.from_indices(g, witness)
     assert list(census) == hits and hits[0] == witness
@@ -776,7 +776,7 @@ def test_census_matches_bruteforce(kind, spec, wspec):
     report, census = failing_census(kind, g, w)
     length = report.value - 1
     expected = failing(length)
-    assert list(census) == expected
+    assert [Sequence.from_indices(g, idxs) for idxs in census] == expected
     assert report.witness == expected[0]
     assert not failing(length + 1)
 
@@ -786,6 +786,7 @@ def test_harborth_witness_is_squarefree_and_colex_least():
     r = harborth(g, pm(6))
     assert r.witness.is_squarefree
     report, census = failing_census(ConstantKind.HARBORTH, g, pm(6))
+    census = [Sequence.from_indices(g, idxs) for idxs in census]
     assert report.value == r.value
     assert r.witness in census
     # colex-least member of the census is the reported witness
@@ -797,6 +798,7 @@ def test_census_members_all_fail_and_are_distinct():
     g = parse_group("2,4")
     w = pm(4)
     report, census = failing_census(ConstantKind.HARBORTH, g, w)
+    census = [Sequence.from_indices(g, idxs) for idxs in census]
     assert len(set(census)) == len(census)
     for s in census:
         assert s.length == report.value - 1
@@ -942,7 +944,7 @@ def test_budget_counts_the_value_walk_and_the_census_scan(kind, spec, wspec, mon
     spans = _walk_spans(monkeypatch)
     report, census = failing_census(kind, g, w)
     assert spans == [("class walk", 0, report.nodes_visited)]
-    assert census[0] == report.witness
+    assert Sequence.from_indices(g, census[0]) == report.witness
     spans.clear()
     value_report = compute_constant(kind, g, w)
     monkeypatch.undo()
@@ -1071,6 +1073,23 @@ def test_exists_failing_sequence_refuses_bad_input():
     for length, mode in [(-1, "multiset"), (-1, "squarefree"), (7, "squarefre"), (0, "Multiset")]:
         with pytest.raises(SearchInputError):
             exists_failing_sequence(g, w, length, [1], mode=mode, node_budget=0)
+    for zero_lengths in ([0], [-1, 3], []):
+        with pytest.raises(SearchInputError, match="zero_lengths must be positive"):
+            exists_failing_sequence(g, w, 3, zero_lengths)
+    # the empty sequence has no nonempty subsequence, so it always fails
+    assert exists_failing_sequence(g, w, 0, [1], node_budget=0) is True
+
+
+@pytest.mark.parametrize("length, mode", [(0, "multiset"), (7, "squarefree"), (3, "multiset")])
+def test_exists_failing_sequence_checks_the_weight_set_first(length, mode):
+    # the weight set is checked before the shortcuts for length 0 and for a
+    # squarefree length past |G|, so a weight set that does not fit never
+    # gets an answer
+    g = parse_group("6")
+    with pytest.raises(SearchInputError, match="^weight modulus 4 does not match exponent 6 of 6$"):
+        exists_failing_sequence(g, pm(4), length, [6], mode=mode)
+    with pytest.raises(SearchInputError, match="^exists_failing_sequence needs a weight set$"):
+        exists_failing_sequence(g, None, length, [6], mode=mode)
 
 
 def test_exists_failing_sequence_on_long_multiset_lengths():
@@ -1122,7 +1141,7 @@ def test_a_census_walk_leaves_no_garbage_cycle():
     gc.collect()
     gc.disable()
     try:
-        report, census = engine.failing_census_indices(ConstantKind.HARBORTH, parse_group("2,8"), classic(8))
+        report, census = engine.failing_census(ConstantKind.HARBORTH, parse_group("2,8"), classic(8))
         assert len(census) == 4896
         assert gc.collect() == 0
     finally:
@@ -1130,11 +1149,11 @@ def test_a_census_walk_leaves_no_garbage_cycle():
 
 
 def test_oracle_calls_leave_no_garbage_cycle():
-    # the recursive oracles' closures refer to themselves; each call has to
-    # break that cycle, or every witness check and sampled census member
-    # leaves garbage for the cyclic collector
+    # every witness check and every sampled census member calls an oracle;
+    # a reference cycle in one (a closure that refers to itself, say) would
+    # leave garbage for the cyclic collector on each call
     g = parse_group("2,10")
-    member = engine.failing_census_indices(ConstantKind.HARBORTH, g, pm(10))[1][0]
+    member = engine.failing_census(ConstantKind.HARBORTH, g, pm(10))[1][0]
     gc.collect()
     gc.disable()
     try:
@@ -1183,8 +1202,8 @@ def test_identical_searches_give_equal_reports():
     g, w = parse_group("2,6"), pm(6)
     assert harborth(g, w) == harborth(g, w)
     assert critical_number(parse_group("6")) == critical_number(parse_group("6"))
-    first = engine.failing_census_indices(ConstantKind.HARBORTH, g, w)
-    assert first == engine.failing_census_indices(ConstantKind.HARBORTH, g, w)
+    first = engine.failing_census(ConstantKind.HARBORTH, g, w)
+    assert first == engine.failing_census(ConstantKind.HARBORTH, g, w)
     assert len(first[1]) == 36
 
 
@@ -1197,7 +1216,6 @@ _ENTRY_POINTS = [
     (critical_number, (), "6"),
     (compute_constant, _HARBORTH, "2,6"),
     (failing_census, _HARBORTH, "2,6"),
-    (engine.failing_census_indices, _HARBORTH, "2,6"),
     (zerosum.enumerate_extremal, (), "2,6"),
     (zerosum.verify_characterization, (zerosum.TheoremId.PM_GENERAL,), "2,6"),
 ]

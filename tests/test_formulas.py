@@ -112,6 +112,7 @@ def test_eta_formula_families():
     assert not eta_formula(parse_group("3,3"), pm(3)).applicable
     assert not eta_formula(parse_group("6,6"), pm(6)).applicable
     assert not eta_formula(parse_group("2,6"), classic(6)).applicable
+    assert eta_formula(parse_group("6"), WeightSet.of(6, [0, 3])) == FormulaValue.point("trivial-weights", 1)
 
 
 def test_critical_formula_values():
@@ -135,6 +136,12 @@ def test_dispatch():
         formula_for(ConstantKind.ETA, g, None)
     with pytest.raises(ValueError):
         harborth_formula(g, pm(3))
+
+
+@pytest.mark.parametrize("formula", [egz_formula, davenport_formula, eta_formula, gw_equals_order_plus_one])
+def test_formulas_refuse_a_weight_modulus_off_the_exponent(formula):
+    with pytest.raises(ValueError, match="^weight modulus does not match the group exponent$"):
+        formula(parse_group("2,4"), pm(3))
 
 
 def test_families_are_arithmetically_consistent():

@@ -37,6 +37,8 @@ def test_parse_group_rejects_bad_chains():
         parse_group("2,,4")
     with pytest.raises(ValueError):
         parse_group("2,x")
+    with pytest.raises(ValueError, match="at least one invariant factor"):
+        GroupSpec([])
 
 
 def test_order_ceiling():
@@ -51,6 +53,11 @@ def test_index_coords_round_trip():
         for i in range(g.order):
             assert g.index_of(g.coords_of(i)) == i
         assert g.coords_of(0) == (0,) * g.rank
+        for index in (-1, g.order):
+            with pytest.raises(ValueError, match="out of range"):
+                g.coords_of(index)
+            with pytest.raises(ValueError, match="out of range"):
+                g.element_at(index)
 
 
 def test_index_encoding_most_significant_last():
@@ -239,3 +246,6 @@ def test_sumset_container_basics():
     assert sorted(t.indices()) == [1, 4]
     with pytest.raises(GroupMismatchError):
         s | SumSet.empty(GroupSpec([8]))
+    for bits in (-1, 1 << g.order):
+        with pytest.raises(ValueError, match="bit mask out of range"):
+            SumSet(g, bits)

@@ -833,6 +833,8 @@ def test_hypothesis_full_group():
     # |G| + 1 does not hold for classic weights on C3, so the theorem does not apply
     with pytest.raises(HypothesisError):
         check_theorem_hypotheses(TheoremId.FULL_GROUP, parse_group("3"), classic(3))
+    with pytest.raises(HypothesisError, match="^weight sets containing class zero are out of scope$"):
+        verify_characterization(TheoremId.FULL_GROUP, parse_group("2,2"), WeightSet.of(2, [0, 1]))
 
 
 # -- doubled subsums cover the doubled subgroup ---------------------------------------

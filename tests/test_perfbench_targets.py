@@ -35,3 +35,12 @@ def test_every_span_target_resolves():
             missing.add(f"{module_name}.{attr}")
     assert missing == KNOWN_MISSING
     assert len(targets) > len(KNOWN_MISSING)
+
+
+def test_the_census_target_is_the_engine_census():
+    # the recorder wraps the census where ``inverse`` looks it up, and that
+    # name is the engine's one census function, not a wrapper or an alias
+    import zerosum.engine
+    import zerosum.inverse
+
+    assert zerosum.inverse.failing_census is zerosum.engine.failing_census

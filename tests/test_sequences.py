@@ -43,6 +43,11 @@ def test_weight_set_normalization():
         WeightSet.parse("1,,2", 6)
     with pytest.raises(ValueError):
         WeightSet.parse("", 6)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        WeightSet(0, (0,))
+    for classes in [(5,), (3, 1), (1, 1)]:  # unreduced, unsorted, repeated
+        with pytest.raises(ValueError, match="reduced, sorted and duplicate-free"):
+            WeightSet(4, classes)
 
 
 def test_weight_labels():
@@ -105,6 +110,19 @@ def test_sequence_views_and_edits():
     assert s.remove_index(5).indices() == (0, 5)
     with pytest.raises(ValueError):
         s.remove_index(3)
+
+
+def test_sequence_constructors_refuse_bad_input():
+    g = GroupSpec([2, 4])
+    with pytest.raises(ValueError, match="length must equal the group order"):
+        Sequence(g, (1,) * 7)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        Sequence(g, (-1,) + (0,) * 7)
+    for index in (-1, 8):
+        with pytest.raises(ValueError, match="out of range"):
+            Sequence.from_indices(g, [0, index])
+    with pytest.raises(ValueError, match="different group"):
+        Sequence.from_elements(g, [g.element_at(1), GroupSpec([8]).element_at(1)])
 
 
 def test_sigma_examples():
@@ -203,6 +221,10 @@ def test_length_sum_table_small_rows():
     assert sorted(t.row(1).indices()) == [g.index_of((0, 1)), g.index_of((0, 3))]
     # g twice with opposite signs cancels
     assert t.contains_zero(2)
+    with pytest.raises(ValueError, match="beyond table cap"):
+        t.contains_zero(3)
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        subsum_kernel(g, pm, -1)
 
 
 def test_length_sum_table_against_oracle_exhaustive():
@@ -361,6 +383,21 @@ def test_has_weighted_zero_of_length():
     assert not has_weighted_zero_of_length(s, WeightSet.classic(4), 4)
     assert has_weighted_zero_of_length(s, WeightSet.classic(4), 3)
     assert not has_weighted_zero_of_length(s, WeightSet.classic(4), 17)
+    with pytest.raises(ValueError, match="length must be nonnegative"):
+        has_weighted_zero_of_length(s, WeightSet.classic(4), -1)
+
+
+@pytest.mark.parametrize("check", [
+    lambda s, w: sequences.weight_multiples(s.group, w),
+    weighted_length_sums_oracle,
+    lambda s, w: oracle_has_weighted_zero_of_length(s, w, 2),
+    lambda s, w: oracle_has_weighted_zero_up_to(s, w, 2),
+], ids=["weight_multiples", "weighted_length_sums_oracle", "oracle_has_weighted_zero_of_length",
+        "oracle_has_weighted_zero_up_to"])
+def test_weight_modulus_off_the_exponent_is_refused(check):
+    s = Sequence.from_indices(GroupSpec([2, 4]), [1, 2, 3])
+    with pytest.raises(ValueError, match="weight modulus .*does not match"):
+        check(s, WeightSet.plus_minus(3))
 
 
 def test_weighted_zero_downward_closed_under_deletion():
