@@ -44,10 +44,11 @@ Determinism contract: a value search is the plan plus a probe.  The jobs
 of the plan run in order, each pushing its forced terms and then walking
 its start mask, and one bound, the best length so far, carries from job to
 job; the maximal failing length L is the best at the end.  Then one probe
-over the elements for L, whose first chain is the colex-least witness.  A
-census is one class walk that keeps its ties, each lifted to every failing
-sequence it stands for (``_lift``) and sorted into colex order, with the
-witness first; with one-element orbits the lift is the walk's own hits.
+for L over the lowest members of each class (``_lowest_members``), whose
+first chain is the colex-least witness.  A census is one class walk that
+keeps its ties, each lifted to every failing sequence it stands for
+(``_lift``) and sorted into colex order, with the witness first; with
+one-element orbits the lift is the walk's own hits.
 ``failing_census`` returns the members as ascending index tuples, and
 ``Sequence.from_indices`` turns one into a sequence.  A census builds no
 Gamma and no plan.  Every walk is sequential, and its nodes depend only on
@@ -75,12 +76,12 @@ from zerosum.groups import GroupSpec, symmetries
 from zerosum.sequences import (
     Sequence,
     WeightSet,
+    _packed_ops,
     negated_multiples,
     oracle_has_weighted_zero_of_length,
     oracle_has_weighted_zero_up_to,
     oracle_nonempty_subsums,
     subsum_kernel,
-    weight_multiples,
 )
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -197,18 +198,16 @@ def _nonempty_engine(group: GroupSpec, weights: WeightSet, dead_mask: int):
       |H| - 1 lie in H; if it is G, 0 is never a sum and the davenport
       argument applies.  Either way at most N - 1 - |ne| terms follow.
     """
-    translate = group.translate_bits
-    scaled = weight_multiples(group, weights)
-    pre = negated_multiples(group, weights) if dead_mask == 1 else (0,) * group.order
-    top = group.order - 1
+    N = group.order
+    shifted = _packed_ops(group, weights, 1)  # one row: each w*g's translate, moved up N bits
+    pre = negated_multiples(group, weights) if dead_mask == 1 else (0,) * N
+    top = N - 1
 
     def push(ne: int, g: int):
         with_empty = ne | 1  # translating the empty sum too adds each w*g itself
         if with_empty & pre[g]:
             return None
-        new = ne
-        for wg in scaled[g]:
-            new |= translate(with_empty, wg)
+        new = ne | (shifted[g](with_empty) >> N)
         return None if new & dead_mask == dead_mask else new
 
     def room(ne: int) -> int:
@@ -220,36 +219,40 @@ def _nonempty_engine(group: GroupSpec, weights: WeightSet, dead_mask: int):
 # -- the walker -------------------------------------------------------------------
 
 
-def _walk(start: int, init_state, push, *, unlock, levels, dead=None, best: int, cap: int,
+def _walk(start: int, init_state, push, *, below, unlock, width, levels, dead=None, best: int, cap: int,
           ties: bool, budget: int, room=None, spent: int = 0, phase: str = "class walk"):
     """Walk every live chain, one topmost element after another.
 
     A chain is a nonincreasing run of element indices, so chains come out
     in colex order.  Each node holds its live mask, the element indices it
     may still push, and pushes only those, lowest first.  The root's mask is
-    ``start``; a child pushed as index c takes its parent's mask below c,
-    adds ``unlock[c]`` (c itself for a multiset, the next lower member of
-    c's orbit for a class walk of a squarefree kind, else nothing; see
-    ``_classes``), and drops ``dead(state)``, a set of children that every
-    push on the child's state would reject.  Dead sets only grow along a
-    chain, so the mask holds every term any extension can add.
+    ``start``; a child pushed as index c takes its parent's mask within
+    ``below[c]`` (the indices below c, less c's class for the witness
+    probe's bundles), adds ``unlock[c]`` (c itself for a multiset, the next
+    lower member of c's orbit for a class walk of a squarefree kind, else
+    nothing; see ``_classes`` and ``_lowest_members``), and drops
+    ``dead(state)``, a set of children that every push on the child's state
+    would reject.  Dead sets only grow along a chain, so the mask holds
+    every term any extension can add.  Pushing c adds ``width[c]`` terms: 1,
+    or for a bundle of the probe the members of c's class from c down.
 
     A term's capacity is how many times a chain may still use it and the
     members it unlocks: 1, plus one for each ``levels[j]`` that holds it.
     ``levels`` is ``None`` for a multiset, whose terms repeat without end.
-    Otherwise a chain gains at most the capacity of its mask, so a child
-    whose mask below it, with its own unlocks, holds too little capacity to
-    beat ``best`` (with ``ties``, to reach it) is skipped unpushed, and a
-    live chain of length n is extended only when n plus its mask's capacity
-    can still beat ``best``; so is any chain with ``n + room(state)`` below
-    that, when ``room`` bounds how many terms a chain can still gain
-    (``_nonempty_engine`` gives it for davenport and the critical number).
+    Otherwise a chain gains at most the capacity of its mask (a bundle's
+    terms all lie in the mask too), so a child whose mask below it, with its
+    own unlocks, holds too little capacity to beat ``best`` (with ``ties``,
+    to reach it) is skipped unpushed, and a live chain of length n is
+    extended only when n plus its mask's capacity can still beat ``best``;
+    so is any chain with ``n + room(state)`` below that, when ``room``
+    bounds how many terms a chain can still gain (``_nonempty_engine``
+    gives it for davenport and the critical number).
 
     The walk records the first chain longer than ``best`` each time it
     finds one, and ``best`` carries over from one root to the next; a chain
-    of length ``cap`` sets ``best`` and ends the walk.  With ``ties`` every
-    live chain of length ``best`` is a hit, and the hits start over
-    whenever ``best`` grows.
+    of length ``cap`` or more sets ``best`` and ends the walk.  With
+    ``ties`` every live chain of length ``best`` is a hit, and the hits
+    start over whenever ``best`` grows.
 
     A value search starts at ``best = 0`` with a cap no failing chain can
     reach, and with ``ties`` its final hits are every live chain of the
@@ -259,16 +262,17 @@ def _walk(start: int, init_state, push, *, unlock, levels, dead=None, best: int,
 
     A node is one push.  The walk counts its nodes on from ``spent`` and
     raises ``SearchBudgetExceeded`` in ``phase`` at the first node that
-    takes the count past ``budget``.  It recurses once per term, so the
+    takes the count past ``budget``.  It recurses once per push, so the
     recursion limit is raised by ``cap`` while it runs.
 
     Returns ``(length, witness, hits, nodes)``: the longest chain found with
-    its length (the first, so colex-least; ``None`` if none beat ``best``),
-    the hits, and the node count at the end of the walk.
+    its length in terms (the first, so colex-least; ``None`` if none beat
+    ``best``), the hits, and the node count at the end of the walk.  Chains
+    and hits list the pushed indices, one per push.
     """
     nodes = spent
     hits: list[tuple[int, ...]] = [()] if ties else []
-    chain = [0] * cap  # chain[i] is the (i+1)-th term of the chain being grown
+    chain = [0] * cap  # chain[i] is the (i+1)-th push of the chain being grown
     best_chain = None
     reach = 1 if ties else 0  # with ties a chain only has to reach best, not beat it
     if levels is None:
@@ -282,10 +286,11 @@ def _walk(start: int, init_state, push, *, unlock, levels, dead=None, best: int,
                 uses += (mask & level).bit_count()
             return uses
 
-    def grow(state, size: int, live: int) -> bool:
-        """Push each child in the live mask after the chain; True ends the walk."""
+    def grow(state, depth: int, size: int, live: int) -> bool:
+        """Push each child in the live mask after the chain of ``depth``
+        pushes and ``size`` terms; True ends the walk."""
         nonlocal nodes, best, best_chain, hits
-        n = size + 1
+        pushes = depth + 1
         todo = live
         trimmed = -1  # the best the mask was last trimmed for
         while todo:
@@ -297,11 +302,11 @@ def _walk(start: int, init_state, push, *, unlock, levels, dead=None, best: int,
                 trimmed, t = best, best - size - reach
                 if t > 0:
                     todo &= -1 << t
-                    below = capacity(live ^ todo)
+                    held = capacity(live ^ todo)  # the capacity at or below the lowest child left
                     while todo:
                         low = todo & -todo
-                        below += capacity(low)
-                        if below > t:
+                        held += capacity(low)
+                        if held > t:
                             break
                         todo ^= low
                     if not todo:
@@ -315,29 +320,30 @@ def _walk(start: int, init_state, push, *, unlock, levels, dead=None, best: int,
             new = push(state, c)
             if new is None:
                 continue
-            chain[size] = c
+            chain[depth] = c
+            n = size + width[c]
             if n > best:
-                best, best_chain = n, tuple(chain[:n])
+                best, best_chain = n, tuple(chain[:pushes])
                 if ties:
                     hits = [best_chain]
-                if n == cap:
+                if n >= cap:
                     return True
             elif ties and n == best:
-                hits.append(tuple(chain[:n]))
+                hits.append(tuple(chain[:pushes]))
             need = best + 1 - reach - n  # terms an extension still needs
             if room is not None and room(new) < need:
                 continue
-            child = (live & (low - 1)) | unlock[c]
+            child = (live & below[c]) | unlock[c]
             if dead is not None:
                 child &= ~dead(new)
-            if child and (capacity is None or capacity(child) >= need) and grow(new, n, child):
+            if child and (capacity is None or capacity(child) >= need) and grow(new, pushes, n, child):
                 return True
         return False
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + cap)
     try:
-        grow(init_state, 0, start if dead is None else start & ~dead(init_state))
+        grow(init_state, 0, 0, start if dead is None else start & ~dead(init_state))
     finally:
         sys.setrecursionlimit(limit)
         # grow reaches itself through its closure; breaking the cycle frees
@@ -377,7 +383,9 @@ def _stabiliser(weights: WeightSet | None) -> tuple[int, ...]:
 
 def _classes(group: GroupSpec, units: tuple[int, ...], start: int, multiset: bool):
     """The class walk over the ``units``-orbits of ``start`` as
-    ``(tops, unlock, levels, orbit)``; ``orbit[c]`` is c's orbit, top first.
+    ``(tops, moves, orbit)``: ``moves`` holds ``_walk``'s ``below``,
+    ``unlock``, ``width`` and ``levels``, and ``orbit[c]`` is c's orbit, top
+    first.
 
     Soundness: for u in U_W (``_stabiliser``), u*W = W, so a term g and u*g
     have the same weighted multiples {w*g}, and replacing g by u*g keeps
@@ -397,20 +405,60 @@ def _classes(group: GroupSpec, units: tuple[int, ...], start: int, multiset: boo
     the element walk.
     """
     n = group.order
-    orbit = [tuple(sorted({group.scale_index(u, c) for u in units}, reverse=True)) for c in range(n)]
+    rows = [group.scale_table[u] for u in units]
+    orbit = [tuple(sorted({row[c] for row in rows}, reverse=True)) for c in range(n)]
     tops = sum(1 << c for c in range(n) if start >> c & 1 and orbit[c][0] == c)
+    moves = {"below": tuple((1 << c) - 1 for c in range(n)), "width": (1,) * n}
     if multiset:
-        return tops, [1 << c for c in range(n)], None, orbit
+        return tops, {**moves, "unlock": tuple(1 << c for c in range(n)), "levels": None}, orbit
     unlock, levels = [0] * n, []
     for c in range(n):
-        below = orbit[c][orbit[c].index(c) + 1:]
-        if below:
-            unlock[c] = 1 << below[0]
-        for j in range(len(below)):
+        lower = orbit[c][orbit[c].index(c) + 1:]
+        if lower:
+            unlock[c] = 1 << lower[0]
+        for j in range(len(lower)):
             if j == len(levels):
                 levels.append(0)
             levels[j] |= 1 << c
-    return tops, unlock, tuple(levels), orbit
+    return tops, {**moves, "unlock": tuple(unlock), "levels": tuple(levels)}, orbit
+
+
+def _lowest_members(push, orbit, start: int, multiset: bool, moves: dict):
+    """The witness probe's walk over the lowest members of each class, as
+    ``(start, push, moves, bundles)``, from the class walk's ``orbit`` and
+    ``moves``; ``bundles[c]`` lists the terms a push of c adds.
+
+    Replacing a term by a lower member of its class keeps every weighted
+    sum (``_classes``) and lowers the sequence in colex order, so the
+    colex-least failing sequence of each length uses, in each class it
+    meets, the class's lowest members.  A multiset kind walks each class's
+    lowest index, repeated, with the class walk's moves.  A squarefree kind
+    pushes a member c as a bundle with every lower member of its class,
+    ``width[c]`` terms in all, and the child's mask drops the class, so each
+    chain is one set closed downward within each class.  Where the pushes
+    of two such sets of one length first differ, the colex-lower set
+    pushes the lower index, and neither set adds a term above its own push
+    from there on, so the walk meets them in colex order, and its first
+    chain of length L is the colex-least failing L-set.  With one-element classes both walks are
+    the element walk.
+    """
+    n = len(orbit)
+    bundles = [members[members.index(c):] for c, members in enumerate(orbit)]
+    if multiset:
+        return sum(1 << c for c in range(n) if start >> c & 1 and orbit[c][-1] == c), push, moves, bundles
+    moves = {"below": tuple(((1 << c) - 1) & ~sum(1 << g for g in orbit[c]) for c in range(n)),
+             "unlock": (0,) * n, "width": tuple(map(len, bundles)), "levels": ()}
+    if all(len(bundle) == 1 for bundle in bundles):
+        return start, push, moves, bundles
+
+    def push_bundle(state, c: int):
+        for g in bundles[c]:
+            state = push(state, g)
+            if state is None:
+                return None
+        return state
+
+    return start, push_bundle, moves, bundles
 
 
 def _lift(hits: list[tuple[int, ...]], orbit, multiset: bool) -> list[tuple[int, ...]]:
@@ -501,7 +549,7 @@ def _plan(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None):
     if dead is not None:
         start &= ~dead(init_state)  # 0 for eta and davenport
     multiset = kind in _MULTISET_KINDS
-    orbit = _classes(group, _stabiliser(weights), start, multiset)[3]
+    orbit = _classes(group, _stabiliser(weights), start, multiset)[2]
     torsion = 1
     if kind in (ConstantKind.HARBORTH, ConstantKind.EGZ):
         if weights.classes == (1,):
@@ -580,10 +628,10 @@ def _compute(
 
     A value search runs the jobs of ``_plan`` to find the maximal failing
     length L, sharing the states of forced terms from one job to the next,
-    and then a probe for L over the elements for the witness.  A census is
-    one class walk (``_classes``) that keeps its ties, lifted (``_lift``)
-    when some orbit has more than one member.  ``node_budget`` covers the
-    whole search."""
+    and then a probe for L over the lowest class members for the witness.
+    A census is one class walk (``_classes``) that keeps its ties, lifted
+    (``_lift``) when some orbit has more than one member.  ``node_budget``
+    covers the whole search."""
     if kind is ConstantKind.CRITICAL:
         if weights is not None:
             raise SearchInputError("the critical number takes no weight set")
@@ -595,13 +643,13 @@ def _compute(
     exp = group.exponent
     start, init_state, push, dead, room = _walk_parts(kind, group, weights)
     multiset = kind in _MULTISET_KINDS
-    tops, unlock, levels, orbit = _classes(group, _stabiliser(weights), start, multiset)
+    tops, moves, orbit = _classes(group, _stabiliser(weights), start, multiset)
 
     # above every failing length: D(G) <= |G|, s(G) <= |G| + exp - 1, and a
     # squarefree chain has at most |G| terms; reaching it can only mean a bug
     cap = 4 * group.order + exp + 8
     if want_census:
-        length, chain, hits, nodes = _walk(tops, init_state, push, unlock=unlock, levels=levels, dead=dead,
+        length, chain, hits, nodes = _walk(tops, init_state, push, **moves, dead=dead,
                                            best=0, cap=cap, ties=True, budget=node_budget, room=room)
         if tops != start:
             hits = _lift(hits, orbit, multiset)
@@ -630,7 +678,7 @@ def _compute(
                 states.append(state)
             previous = forced
             if states[-1] is not None and mask:
-                found, _, _, nodes = _walk(mask, states[-1], push, unlock=unlock, levels=levels, dead=dead,
+                found, _, _, nodes = _walk(mask, states[-1], push, **moves, dead=dead,
                                            best=length - len(forced), cap=cap - len(forced), ties=False,
                                            budget=node_budget, room=room, spent=nodes, phase=phase)
                 length = len(forced) + found
@@ -640,11 +688,12 @@ def _compute(
     if not want_census:
         chain = ()
         if length:
-            _, unlock, levels, _ = _classes(group, (1,), start, multiset)
-            found, chain, _, nodes = _walk(start, init_state, push, unlock=unlock, levels=levels, dead=dead,
+            lowest, push, moves, bundles = _lowest_members(push, orbit, start, multiset, moves)
+            found, heads, _, nodes = _walk(lowest, init_state, push, **moves, dead=dead,
                                            best=length - 1, cap=length, ties=False, budget=node_budget,
                                            room=room, spent=nodes, phase="witness probe")
-            _check(found == length, "the element probe finds the plan's length")
+            _check(found == length, "the probe finds the plan's length")
+            chain = [g for c in heads for g in bundles[c]]
 
     value = length + 1
     witness = Sequence.from_indices(group, chain or ())
@@ -727,7 +776,10 @@ def exists_failing_sequence(
     ``zero_lengths`` list the children that close a zero-sum of length j;
     it stops at the first such sequence."""
     _check_weights(group, weights, "exists_failing_sequence")
-    zl = tuple(sorted(set(int(j) for j in zero_lengths)))
+    zl = tuple(zero_lengths)
+    if not all(isinstance(j, int) for j in zl + (length,)):
+        raise SearchInputError(f"length and zero_lengths must be integers, got {length!r} and {list(zl)!r}")
+    zl = tuple(sorted(set(zl)))
     if not zl or zl[0] < 1:
         raise SearchInputError("zero_lengths must be positive")
     if length < 0:
@@ -759,6 +811,6 @@ def exists_failing_sequence(
             rows |= word >> shift
         return rows & full
 
-    tops, unlock, levels, _ = _classes(group, _stabiliser(weights), full, not squarefree)
-    return _walk(tops, init_state, push, unlock=unlock, levels=levels, dead=dead if scaled and zl else None,
+    tops, moves, _ = _classes(group, _stabiliser(weights), full, not squarefree)
+    return _walk(tops, init_state, push, **moves, dead=dead if scaled and zl else None,
                  best=length - 1, cap=length, ties=False, budget=node_budget)[0] == length

@@ -131,26 +131,30 @@ class GroupSpec:
 
     # -- index arithmetic --------------------------------------------------
 
-    # The tables are built from the coordinate formulas, not from
-    # translate_bits, so the two stay independent checks of each other.
+    # The tables are built from the coordinate formulas, one invariant factor
+    # at a time, not from translate_bits, so the two stay independent checks
+    # of each other.  With G' the first factors, of order M, and n the next,
+    # the index x + a*M of G' + C_n adds and scales digit by digit.
 
     @cached_property
     def add_table(self) -> tuple[tuple[int, ...], ...]:
         """``add_table[i][j]`` is the index of i + j (built on first use)."""
-        coords = [self.coords_of(i) for i in range(self.order)]
-        return tuple(
-            tuple(self.index_of([(a + b) % n for a, b, n in zip(ci, cj, self.invariant_factors)]) for cj in coords)
-            for ci in coords
-        )
+        table = [[0]]
+        for n, stride in zip(self.invariant_factors, self._strides):
+            table = [[s + off for off in [(a + b) % n * stride for b in range(n)] for s in row]
+                     for a in range(n) for row in table]
+        return tuple(map(tuple, table))
 
     @cached_property
     def scale_table(self) -> tuple[tuple[int, ...], ...]:
         """``scale_table[k][i]`` is the index of k*i for 0 <= k < exponent."""
-        coords = [self.coords_of(i) for i in range(self.order)]
-        return tuple(
-            tuple(self.index_of([(k * c) % n for c, n in zip(ci, self.invariant_factors)]) for ci in coords)
-            for k in range(self.exponent)
-        )
+        rows = []
+        for k in range(self.exponent):
+            row = [0]
+            for n, stride in zip(self.invariant_factors, self._strides):
+                row = [s + k * a % n * stride for a in range(n) for s in row]
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def add_indices(self, i: int, j: int) -> int:
         # a negative index would wrap around in the table, so check first

@@ -46,6 +46,8 @@ class WeightSet:
 
     @classmethod
     def of(cls, modulus: int, weights: Iterable[int]) -> "WeightSet":
+        if modulus < 1:  # before reducing, which would divide by zero
+            raise ValueError("weight modulus must be positive")
         return cls(modulus, tuple(sorted(set(w % modulus for w in weights))))
 
     @classmethod
@@ -270,13 +272,50 @@ def negated_multiples(group: GroupSpec, weights: WeightSet) -> tuple[int, ...]:
     return tuple(sum(1 << group.neg_index(wg) for wg in row) for row in weight_multiples(group, weights))
 
 
+def _or_of_shifts(pieces: list[tuple[int, int]]):
+    """The function x -> OR of (x & m) << s over the ``(m, s)`` pieces,
+    written out for two, four or eight pieces (padded with empty ones), and
+    past eight as the OR of the functions of the first eight and the rest."""
+    if len(pieces) > 8:
+        head, tail = _or_of_shifts(pieces[:8]), _or_of_shifts(pieces[8:])
+        return lambda x: head(x) | tail(x)
+    (m0, s0), (m1, s1), (m2, s2), (m3, s3), (m4, s4), (m5, s5), (m6, s6), (m7, s7) = (
+        pieces + [(0, 0)] * (8 - len(pieces)))
+    if len(pieces) <= 2:
+        return lambda x: (x & m0) << s0 | (x & m1) << s1
+    if len(pieces) <= 4:
+        return lambda x: (x & m0) << s0 | (x & m1) << s1 | (x & m2) << s2 | (x & m3) << s3
+    return lambda x: ((x & m0) << s0 | (x & m1) << s1 | (x & m2) << s2 | (x & m3) << s3
+                      | (x & m4) << s4 | (x & m5) << s5 | (x & m6) << s6 | (x & m7) << s7)
+
+
 @lru_cache(maxsize=64)
 def _packed_ops(group: GroupSpec, weights: WeightSet, cap: int):
-    """Per element g: the translation ops of each distinct w*g, masks tiled over rows 0..cap-1."""
-    tile = _replicate(1, group.order, cap * group.order)
-    trans = tuple(tuple((m1 * tile, s1, m2 * tile, s2) for m1, s1, m2, s2 in ops)
-                  for ops in group._translation_ops)
-    return tuple(tuple(trans[wg] for wg in row) for row in weight_multiples(group, weights))
+    """Per element g: the function that ORs the translates of a word's rows
+    0..cap-1 by each distinct w*g, each moved up one row (built on first use).
+
+    A translation by h rotates each coordinate's digit on its own, and
+    ``group._translation_ops`` gives one op per digit h moves: a bit whose
+    digit does not wrap moves up by t*stride, one whose digit wraps moves
+    down by (n - t)*stride, each picked out by a mask of that digit.  So a
+    translation is an OR of masked shifts, one for each choice of wrapping
+    digits, with the AND of the chosen masks and the sum of their moves.
+    The pieces of every w*g that share a move share one shift.  Moving up one
+    row adds N to each move, so every shift is a left shift, and the masks,
+    tiled over rows 0..cap-1, keep row cap out."""
+    N = group.order
+    tile = _replicate(1, N, cap * N)
+    kernels = []
+    for row in weight_multiples(group, weights):
+        merged: dict[int, int] = {}
+        for wg in row:
+            pieces = [(0, group.full_mask)]
+            for m1, s1, m2, s2 in group._translation_ops[wg]:
+                pieces = [(move + step, m & mask) for move, m in pieces for mask, step in ((m1, s1), (m2, -s2))]
+            for move, m in pieces:
+                merged[move] = merged.get(move, 0) | m
+        kernels.append(_or_of_shifts([(m * tile, move + N) for move, m in merged.items()]))
+    return tuple(kernels)
 
 
 def subsum_kernel(group: GroupSpec, weights: WeightSet, cap: int, zero_lengths: tuple[int, ...] = ()):
@@ -284,31 +323,24 @@ def subsum_kernel(group: GroupSpec, weights: WeightSet, cap: int, zero_lengths: 
 
     The state is one int: row j (rows 0..cap) is the N-bit mask at bit
     ``j*N``, N = |G|.  ``push(word, g)`` adds element g as one more term,
-    row j becoming row j | (row j-1 + w*g) for each w, and returns the new
-    word, or ``None`` when some row listed in ``zero_lengths`` would contain
-    zero.  Only live words, whose zero_lengths rows hold no zero, may be
-    pushed; then 0 enters row j exactly when some -w*g lies in row j-1, so
-    one AND decides a dead child before its word is built.
+    row j becoming row j | (row j-1 + w*g) for each w (one call of g's
+    ``_packed_ops`` function), and returns the new word, or ``None`` when
+    some row listed in ``zero_lengths`` would contain zero.  Only live
+    words, whose zero_lengths rows hold no zero, may be pushed; then 0
+    enters row j exactly when some -w*g lies in row j-1, so one AND decides
+    a dead child before its word is built.
     """
     if cap < 0:
         raise ValueError("table cap must be nonnegative")
     N = group.order
-    ops_table = _packed_ops(group, weights, cap)
-    low = (1 << cap * N) - 1  # rows 0..cap-1, the ones a push translates
+    shifted = _packed_ops(group, weights, cap)
     below_zero_rows = sum(1 << (j - 1) * N for j in set(zero_lengths) if j <= cap)
     pre = tuple(k * below_zero_rows for k in negated_multiples(group, weights))
 
     def push(word: int, g: int):
         if word & pre[g]:
             return None
-        x0 = word & low
-        acc = 0
-        for ops in ops_table[g]:
-            x = x0
-            for m1, s1, m2, s2 in ops:
-                x = ((x & m1) << s1) | ((x & m2) >> s2)
-            acc |= x
-        return word | (acc << N)
+        return word | shifted[g](word)
 
     return 1, push
 

@@ -153,7 +153,7 @@ def test_compute_interval_formula(capsys):
     # 3,3 pm has only log bounds, and the value 3 lies inside them
     code, out, _ = run(capsys, "compute", "--group", "3,3", "--kind", "davenport", "--weights", "pm")
     assert code == 0
-    assert "value: 3\n" in out and "nodes: 6\n" in out
+    assert "value: 3\n" in out and "nodes: 5\n" in out
     assert "formula: 3..4 [davenport-pm-log-bounds]\nverdict: AGREE\n" in out
 
 
@@ -373,13 +373,13 @@ def test_table_rank2_pm_values(capsys):
 def test_table_budget_cell_does_not_fail_run(capsys):
     code, out, _ = run(capsys, "table", "--family", "2,2n", "--range", "1:3",
                        "--kind", "harborth", "--weights", "pm",
-                       "--node-budget", "200")  # 2,6 takes 201 nodes
+                       "--node-budget", "150")  # 2,6 takes 154 nodes
     assert code == 0
     assert "BUDGET" in out
 
 
 def test_table_budget_is_per_row(capsys):
-    # each row fits 600 nodes (2,8 takes 532) while the four together take 768
+    # each row fits 600 nodes (2,8 takes 513) while the four together take 702
     code, out, _ = run(capsys, "table", "--family", "2,2n", "--range", "1:4",
                        "--kind", "harborth", "--weights", "pm",
                        "--node-budget", "600", "--output", "json")
@@ -387,7 +387,7 @@ def test_table_budget_is_per_row(capsys):
     rows = json.loads(out)["rows"]
     nodes = [r["nodes_visited"] for r in rows]
     assert not any(r["budget_exceeded"] for r in rows)
-    assert max(nodes) <= 600 < sum(nodes) == 768
+    assert max(nodes) <= 600 < sum(nodes) == 702
 
 
 def test_table_csv_columns(capsys):
@@ -499,17 +499,17 @@ def test_table_range_past_order_ceiling_exits_64(capsys, family, rng):
 # csv, a table with a BUDGET row, a verify refused with 65, and one --perf case
 # per format with each time written as <ms>
 _PINNED_OUTPUT = [
-    ('compute --group 2,6 --weights pm --kind harborth --output json', 0, '{"formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "kind": "harborth", "nodes_visited": 201, "schema": 1, "type": "search_report", "value": 8, "verdict": "AGREE", "weights": [1, 5], "witness": "(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)"}\n', ''),
-    ('compute --group 2,6 --weights pm --kind harborth --output csv', 0, 'kind,group,weights,value,witness,nodes,formula,tag,verdict\nharborth,"2,6",pm,8,"(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)",201,8,harborth-rank2-pm,AGREE\n', ''),
+    ('compute --group 2,6 --weights pm --kind harborth --output json', 0, '{"formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "kind": "harborth", "nodes_visited": 154, "schema": 1, "type": "search_report", "value": 8, "verdict": "AGREE", "weights": [1, 5], "witness": "(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)"}\n', ''),
+    ('compute --group 2,6 --weights pm --kind harborth --output csv', 0, 'kind,group,weights,value,witness,nodes,formula,tag,verdict\nharborth,"2,6",pm,8,"(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)",154,8,harborth-rank2-pm,AGREE\n', ''),
     ('enumerate --group 4 --weights pm --output json', 0, '{"count": 4, "group": "4", "members": ["(0);(1);(2)", "(0);(1);(3)", "(0);(2);(3)", "(1);(2);(3)"], "nodes_visited": 10, "schema": 1, "type": "extremal_census", "value": 4, "weights": [1, 3]}\n', ''),
     ('enumerate --group 4 --weights pm --output csv', 0, 'sequence\n(0);(1);(2)\n(0);(1);(3)\n(0);(2);(3)\n(1);(2);(3)\n', ''),
     ('verify --group 2,6 --theorem pm-general --output json', 0, '{"agree": true, "census_size": 36, "group": "2,6", "nodes_visited": 302, "only_in_census": [], "only_in_predicate": [], "predicate_size": 36, "schema": 1, "theorem": "pm-general", "type": "characterization_report", "value": 8, "weights": [1, 5]}\n', ''),
     ('verify --group 2,6 --theorem pm-general --output csv', 0, 'side,sequence\n', ''),
-    ('table --family 2,2n --range 1:4 --kind harborth --weights pm --node-budget 300 --output json', 0, '{"kind": "harborth", "rows": [{"budget_exceeded": false, "formula": {"applicable": true, "hi": 5, "lo": 5, "tag": "harborth-elementary2", "value": 5}, "group": "2,2", "nodes_visited": 8, "value": 5, "verdict": "AGREE", "weights": [1]}, {"budget_exceeded": false, "formula": {"applicable": true, "hi": 5, "lo": 5, "tag": "harborth-rank2-pm", "value": 5}, "group": "2,4", "nodes_visited": 27, "value": 5, "verdict": "AGREE", "weights": [1, 3]}, {"budget_exceeded": false, "formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "nodes_visited": 201, "value": 8, "verdict": "AGREE", "weights": [1, 5]}, {"budget_exceeded": true, "formula": {"applicable": true, "hi": 10, "lo": 10, "tag": "harborth-rank2-pm", "value": 10}, "group": "2,8", "nodes_visited": 301, "value": null, "verdict": null, "weights": [1, 7]}], "schema": 1, "type": "table"}\n', ''),
-    ('table --family 2,2n --range 1:4 --kind harborth --weights pm --node-budget 300 --output csv', 0, 'group,weights,value,formula,tag,verdict,nodes\n"2,2",classic,5,5,harborth-elementary2,AGREE,8\n"2,4",pm,5,5,harborth-rank2-pm,AGREE,27\n"2,6",pm,8,8,harborth-rank2-pm,AGREE,201\n"2,8",pm,BUDGET,10,harborth-rank2-pm,,301\n', ''),
+    ('table --family 2,2n --range 1:4 --kind harborth --weights pm --node-budget 300 --output json', 0, '{"kind": "harborth", "rows": [{"budget_exceeded": false, "formula": {"applicable": true, "hi": 5, "lo": 5, "tag": "harborth-elementary2", "value": 5}, "group": "2,2", "nodes_visited": 8, "value": 5, "verdict": "AGREE", "weights": [1]}, {"budget_exceeded": false, "formula": {"applicable": true, "hi": 5, "lo": 5, "tag": "harborth-rank2-pm", "value": 5}, "group": "2,4", "nodes_visited": 27, "value": 5, "verdict": "AGREE", "weights": [1, 3]}, {"budget_exceeded": false, "formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "nodes_visited": 154, "value": 8, "verdict": "AGREE", "weights": [1, 5]}, {"budget_exceeded": true, "formula": {"applicable": true, "hi": 10, "lo": 10, "tag": "harborth-rank2-pm", "value": 10}, "group": "2,8", "nodes_visited": 301, "value": null, "verdict": null, "weights": [1, 7]}], "schema": 1, "type": "table"}\n', ''),
+    ('table --family 2,2n --range 1:4 --kind harborth --weights pm --node-budget 300 --output csv', 0, 'group,weights,value,formula,tag,verdict,nodes\n"2,2",classic,5,5,harborth-elementary2,AGREE,8\n"2,4",pm,5,5,harborth-rank2-pm,AGREE,27\n"2,6",pm,8,8,harborth-rank2-pm,AGREE,154\n"2,8",pm,BUDGET,10,harborth-rank2-pm,,301\n', ''),
     ('verify --group 2,5 --theorem pm-general --output json', 65, '', 'zerosum: hypothesis mismatch: --group: invariant factor chain broken: 2 does not divide 5\n'),
     ('verify --group 2,5 --theorem pm-general --output csv', 65, '', 'zerosum: hypothesis mismatch: --group: invariant factor chain broken: 2 does not divide 5\n'),
-    ('compute --group 2,6 --weights pm --kind harborth --output json --perf', 0, '{"formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "kind": "harborth", "nodes_visited": 201, "schema": 1, "type": "search_report", "value": 8, "verdict": "AGREE", "wall_time_ms": <ms>, "weights": [1, 5], "witness": "(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)"}\n', ''),
+    ('compute --group 2,6 --weights pm --kind harborth --output json --perf', 0, '{"formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "kind": "harborth", "nodes_visited": 154, "schema": 1, "type": "search_report", "value": 8, "verdict": "AGREE", "wall_time_ms": <ms>, "weights": [1, 5], "witness": "(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)"}\n', ''),
     ('verify --group 2,6 --theorem pm-general --output csv --perf', 0, 'side,sequence,ms\n,,<ms>\n', ''),
     ('enumerate --group 4 --weights pm --perf', 0, 'group: 4\nweights: pm\nvalue: 4\ncount: 4\n(0);(1);(2)\n(0);(1);(3)\n(0);(2);(3)\n(1);(2);(3)\nms: <ms>\n', ''),
 ]

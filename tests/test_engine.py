@@ -509,13 +509,16 @@ def _element_walk(kind, g, w, ties):
     the hits (with ``ties``, else the first longest chain alone) as
     ascending tuples in walk order."""
     start, init, push, dead, room = engine._walk_parts(kind, g, w)
-    if kind is ConstantKind.HARBORTH:
-        unlock, levels = [0] * g.order, ()
-    else:
-        unlock, levels = [1 << c for c in range(g.order)], None
-    length, chain, hits, nodes = engine._walk(start, init, push, unlock=unlock, levels=levels, dead=dead, best=0,
+    length, chain, hits, nodes = engine._walk(start, init, push, **_element_moves(kind, g), dead=dead, best=0,
                                               cap=4 * g.order + g.exponent + 8, ties=ties, budget=10**9, room=room)
     return length, [h[::-1] for h in hits] if ties else [(chain or ())[::-1]], nodes
+
+
+def _element_moves(kind, g):
+    """``_walk``'s moves for a walk over single elements."""
+    squarefree = kind in (ConstantKind.HARBORTH, ConstantKind.CRITICAL)
+    return {"below": [(1 << c) - 1 for c in range(g.order)], "width": [1] * g.order,
+            "unlock": [0 if squarefree else 1 << c for c in range(g.order)], "levels": () if squarefree else None}
 
 
 def _class_walk_cases():
@@ -550,6 +553,31 @@ def test_class_walk_matches_the_element_walk(kind, spec, wspec):
         assert census_report.nodes_visited == census_nodes
 
 
+def _probe_cases():
+    for spec in ("2,4", "2,6", "2,8", "2,10", "2,12", "3,6", "4,4", "12"):
+        yield ConstantKind.HARBORTH, spec
+    for spec in ("2,4", "2,6", "2,8", "3,6", "4,4", "8", "12"):
+        yield ConstantKind.EGZ, spec
+
+
+@pytest.mark.parametrize("kind, spec", list(_probe_cases()))
+def test_probe_over_lowest_members_finds_the_element_probes_witness(kind, spec, monkeypatch):
+    # the probe over the lowest class members and a probe over single
+    # elements at the value search's length stop at the same first chain
+    g = parse_group(spec)
+    w = pm(g.exponent)
+    spans = _walk_spans(monkeypatch)
+    report = compute_constant(kind, g, w)
+    monkeypatch.undo()
+    phase, spent, total = spans[-1]
+    length = report.value - 1
+    start, init, push, dead, _ = engine._walk_parts(kind, g, w)
+    found, chain, _, nodes = engine._walk(start, init, push, **_element_moves(kind, g), dead=dead,
+                                          best=length - 1, cap=length, ties=False, budget=10**7)
+    assert found == length and Sequence.from_indices(g, chain) == report.witness
+    assert phase == "witness probe" and total - spent <= nodes, (total - spent, nodes)
+
+
 def test_classes_of_plus_minus_and_unit_weights():
     # pm pairs g with -g; all units of Z/8 make classes of size 4; {2,6}
     # holds no unit but is kept by every unit; classic keeps one element each
@@ -558,13 +586,14 @@ def test_classes_of_plus_minus_and_unit_weights():
     assert engine._stabiliser(WeightSet.of(8, [1, 3, 5, 7])) == (1, 3, 5, 7)
     assert engine._stabiliser(WeightSet.of(8, [2, 6])) == (1, 3, 5, 7)
     assert engine._stabiliser(classic(8)) == engine._stabiliser(None) == (1,)
-    tops, unlock, levels, orbit = engine._classes(g, (1, 3, 5, 7), g.full_mask, multiset=False)
+    tops, moves, orbit = engine._classes(g, (1, 3, 5, 7), g.full_mask, multiset=False)
     assert tops == 1 << 0 | 1 << 4 | 1 << 6 | 1 << 7
     assert orbit[3] == (7, 5, 3, 1) and orbit[2] == (6, 2)
-    assert [unlock[c].bit_length() - 1 for c in (7, 5, 3, 1, 6, 2, 4, 0)] == [5, 3, 1, -1, 2, -1, -1, -1]
-    assert levels == (1 << 7 | 1 << 5 | 1 << 3 | 1 << 6, 1 << 7 | 1 << 5, 1 << 7)
-    tops, unlock, levels, _ = engine._classes(g, (1, 7), g.full_mask, multiset=True)
-    assert tops == 0b11110001 and levels is None and unlock == [1 << c for c in range(8)]
+    assert [moves["unlock"][c].bit_length() - 1 for c in (7, 5, 3, 1, 6, 2, 4, 0)] == [5, 3, 1, -1, 2, -1, -1, -1]
+    assert moves["levels"] == (1 << 7 | 1 << 5 | 1 << 3 | 1 << 6, 1 << 7 | 1 << 5, 1 << 7)
+    assert moves["below"] == tuple((1 << c) - 1 for c in range(8)) and moves["width"] == (1,) * 8
+    tops, moves, _ = engine._classes(g, (1, 7), g.full_mask, multiset=True)
+    assert tops == 0b11110001 and moves["levels"] is None and moves["unlock"] == tuple(1 << c for c in range(8))
 
 
 def test_lift_counts_every_member_of_a_class():
@@ -649,7 +678,7 @@ def _failing_class_multisets(kind, g, w):
     squarefree kind pushes a class's members from the top down)."""
     start, init, push, _, _ = engine._walk_parts(kind, g, w)
     multiset = kind in engine._MULTISET_KINDS
-    tops, _, _, orbit = engine._classes(g, engine._stabiliser(w), start, multiset)
+    tops, _, orbit = engine._classes(g, engine._stabiliser(w), start, multiset)
     classes = [c for c in range(g.order) if tops >> c & 1]
     failing, frontier = set(), {(): init}
     while frontier:
@@ -872,10 +901,11 @@ def _walk_spans(monkeypatch):
 def test_value_search_is_one_walk(monkeypatch):
     # each job of the plan is one walk with one cap, in plan order: no
     # shorter-capped round is walked and thrown away; one probe over the
-    # elements follows the jobs for the witness, and counts on from them
+    # lowest class members follows the jobs for the witness, and counts on
+    # from them
     spans = _walk_spans(monkeypatch)
     for search, spec, w, value, probe in ((eta, "2,2,2,2", classic(2), 16, (8_789, 41_556)),
-                                          (harborth, "2,6", pm(6), 8, (69, 201))):
+                                          (harborth, "2,6", pm(6), 8, (69, 154))):
         spans.clear()
         g = parse_group(spec)
         r = search(g, w)
@@ -914,11 +944,11 @@ def test_budget_exceeded():
     assert exc.value.budget == 500
 
 
-@pytest.mark.parametrize("budget, raised", [(500, 501), (5_000, 5_001),
-                                            (9_340, 9_341), (9_341, None)])
+@pytest.mark.parametrize("budget, raised", [(500, 501), (3_000, 3_001),
+                                            (4_559, 4_560), (4_560, None)])
 def test_budget_is_global_across_roots(budget, raised):
-    # harborth 2,10 pm needs 9,341 nodes in all: 2,252 in the 26 jobs of its
-    # plan, then 7,089 in the element probe
+    # harborth 2,10 pm needs 4,560 nodes in all: 2,252 in the 26 jobs of its
+    # plan, then 2,308 in the probe over the lowest class members
     g, w = parse_group("2,10"), pm(10)
     if raised is None:
         assert harborth(g, w, node_budget=budget).nodes_visited == budget
@@ -938,7 +968,7 @@ def test_budget_is_global_across_roots(budget, raised):
 ])
 def test_budget_counts_the_value_walk_and_the_census_scan(kind, spec, wspec, monkeypatch):
     # a census is one class walk, so its budget is one count; a value search
-    # is the jobs of its plan and an element probe, and one budget covers all
+    # is the jobs of its plan and a probe, and one budget covers all
     g = parse_group(spec)
     w = WeightSet.parse(wspec, g.exponent) if wspec else None
     spans = _walk_spans(monkeypatch)
@@ -1078,6 +1108,18 @@ def test_exists_failing_sequence_refuses_bad_input():
             exists_failing_sequence(g, w, 3, zero_lengths)
     # the empty sequence has no nonempty subsequence, so it always fails
     assert exists_failing_sequence(g, w, 0, [1], node_budget=0) is True
+
+
+def test_exists_failing_sequence_refuses_lengths_that_are_not_integers():
+    # a zero length that is not an integer is refused, not truncated ([1,
+    # 2.9] would answer as [1, 2], False, where [1, 3] gives True), and so
+    # is such a length, before the walk
+    g, w = parse_group("2,4"), pm(4)
+    assert exists_failing_sequence(g, w, 6, [1, 2]) is False
+    assert exists_failing_sequence(g, w, 6, [1, 3]) is True
+    for length, zero_lengths in [(6, [1, 2.9]), (6, [2.0]), (6, [1, "2"]), (2.5, [4]), (3.0, [4])]:
+        with pytest.raises(SearchInputError, match="must be integers"):
+            exists_failing_sequence(g, w, length, zero_lengths)
 
 
 @pytest.mark.parametrize("length, mode", [(0, "multiset"), (7, "squarefree"), (3, "multiset")])

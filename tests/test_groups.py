@@ -126,6 +126,19 @@ def test_arithmetic_tables_match_coordinate_formula():
                 g.scale_index(3, bad)
 
 
+@pytest.mark.parametrize("factors", [(2,), (7,), (12,), (64,), (2, 2), (2, 8), (3, 6), (4, 8), (8, 8), (2, 2, 4),
+                                     (3, 3, 3), (2, 4, 8), (2, 2, 2, 2), (2, 2, 2, 6), (2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2)])
+def test_whole_tables_match_coords_of_and_index_of(factors):
+    # the tables are built one factor at a time from digit sums and products
+    # times strides; here every entry is rebuilt through the coordinates
+    g = GroupSpec(factors)
+    coords = [g.coords_of(i) for i in range(g.order)]
+    assert g.add_table == tuple(tuple(g.index_of([(a + b) % n for a, b, n in zip(ci, cj, factors)]) for cj in coords)
+                                for ci in coords)
+    assert g.scale_table == tuple(tuple(g.index_of([k * c % n for c, n in zip(ci, factors)]) for ci in coords)
+                                  for k in range(g.exponent))
+
+
 def test_translation_ops_against_element_wise_oracle():
     rng = random.Random(7)
     for factors in SMALL_GROUPS:

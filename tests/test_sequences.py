@@ -45,6 +45,11 @@ def test_weight_set_normalization():
         WeightSet.parse("", 6)
     with pytest.raises(ValueError, match="modulus must be positive"):
         WeightSet(0, (0,))
+    # a modulus of 0 is refused before the weights are reduced by it
+    for build in (lambda: WeightSet.of(0, [1]), lambda: WeightSet.classic(0), lambda: WeightSet.plus_minus(0),
+                  lambda: WeightSet.parse("1", 0), lambda: WeightSet.of(-3, [1])):
+        with pytest.raises(ValueError, match="^weight modulus must be positive$"):
+            build()
     for classes in [(5,), (3, 1), (1, 1)]:  # unreduced, unsorted, repeated
         with pytest.raises(ValueError, match="reduced, sorted and duplicate-free"):
             WeightSet(4, classes)
@@ -349,6 +354,63 @@ def test_packed_rows_of_every_live_state_match_oracle(factors, weights):
             assert _unpack(g, word, cap) == [oracle.get(ln, set()) for ln in range(cap + 1)], (zl, cap, stream, size)
             states += 1
     assert states >= 100
+
+
+@pytest.mark.parametrize("spec", ["12", "2,8", "3,6", "4,8", "2,2,4", "3,3,3", "2,2,2,2,2,2"])
+def test_kernel_functions_translate_as_translate_bits(spec):
+    # each element's function ORs the translates of rows 0..cap-1 by its
+    # weighted multiples, one row up; up to eight masked shifts are written
+    # out, and 2,2,4 and 3,3,3 under pm and 2,2,2,2,2,2 need more, split in eights
+    g = GroupSpec(int(n) for n in spec.split(","))
+    N, rng = g.order, random.Random(f"kernel functions {spec}")
+    for w in (WeightSet.classic(g.exponent), WeightSet.plus_minus(g.exponent)):
+        for cap in (1, 3):
+            fns = sequences._packed_ops(g, w, cap)
+            assert len(fns) == N
+            for h, fn in enumerate(fns):
+                for _ in range(4):
+                    word = rng.getrandbits((cap + 1) * N)
+                    rows = [(word >> j * N) & g.full_mask for j in range(cap)]
+                    expect = 0
+                    for wh in {g.scale_index(k, h) for k in w.classes}:
+                        for j, row in enumerate(rows):
+                            expect |= g.translate_bits(row, wh) << (j + 1) * N
+                    assert fn(word) == expect, (spec, w, cap, h)
+    split = any(fn.__code__.co_freevars == ("head", "tail")
+                for fn in sequences._packed_ops(g, WeightSet.plus_minus(g.exponent), 1))
+    assert split == (spec in ("2,2,4", "3,3,3", "2,2,2,2,2,2"))
+
+
+@pytest.mark.parametrize("spec, weights", [("3,6", "pm"), ("3,6", "classic"), ("2,8", "1,3"), ("4,8", "1,3"),
+                                           ("2,8", "pm"), ("2,2,4", "pm"), ("3,3,3", "classic")])
+def test_kernel_push_matches_a_loop_over_translation_ops(spec, weights):
+    # the push on random live words against a reference loop over each
+    # weighted multiple's translation ops, masks tiled over rows 0..cap-1
+    g = GroupSpec(int(n) for n in spec.split(","))
+    w = WeightSet.parse(weights, g.exponent)
+    N, rng = g.order, random.Random(f"kernel push {spec} {weights}")
+    cap = g.exponent
+    low = (1 << cap * N) - 1
+    tile = sum(1 << j * N for j in range(cap))
+    pre = [sum({1 << g.neg_index(g.scale_index(k, h)) for k in w.classes}) for h in range(N)]
+    pushed = 0
+    for _ in range(30):
+        word, push = subsum_kernel(g, w, cap, (cap,))
+        for h in [rng.randrange(N) for _ in range(rng.randint(1, 8))]:
+            acc = 0
+            for wh in dict.fromkeys(g.scale_index(k, h) for k in w.classes):
+                x = word & low
+                for m1, s1, m2, s2 in g._translation_ops[wh]:
+                    x = ((x & m1 * tile) << s1) | ((x & m2 * tile) >> s2)
+                acc |= x
+            new = push(word, h)
+            if (word >> (cap - 1) * N) & g.full_mask & pre[h]:  # some -w*h in row cap - 1
+                assert new is None
+                break
+            assert new == word | (acc << N), (spec, weights, h)
+            word = new
+            pushed += 1
+    assert pushed >= 60
 
 
 @pytest.mark.parametrize("factors,weights", KERNEL_CASES, ids=str)
