@@ -528,11 +528,12 @@ def _plan(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None):
     to failing ones.  An automorphism keeps every weighted zero-sum.  A
     translation by h moves a weighted sum of exp terms by
     (w_1 + ... + w_exp)*h, which is 0 for every h under classic weights, and
-    for h in G[2] under pm weights when exp is even (the w_i then sum to an
-    even number); harborth and egz ask only about sums of exp terms, so
-    those translations serve there, and no other kind or weight set takes
-    one.  Each map commutes with every u in U_W (-h = h on G[2]), so Gamma
-    permutes the classes of ``_classes`` and the forcing works on classes.
+    for h in G[2] under pm weights (the w_i sum to an even number when exp
+    is even, and G[2] is 0 when exp is odd); harborth and egz ask only about
+    sums of exp terms, so those translations serve there, and no other kind
+    or weight set takes one.  Each map commutes with every u in U_W (-h = h
+    on G[2]), so Gamma permutes the classes of ``_classes`` and the forcing
+    works on classes.
 
     Split the allowed classes into Gamma-orbits O_1, O_2, ..., smallest
     first, and let r_k be the top of the lowest class of O_k.  A failing
@@ -552,9 +553,9 @@ def _plan(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None):
     orbit = _classes(group, _stabiliser(weights), start, multiset)[2]
     torsion = 1
     if kind in (ConstantKind.HARBORTH, ConstantKind.EGZ):
-        if weights.classes == (1,):
+        if weights.is_classic:
             torsion = 0
-        elif weights.modulus % 2 == 0 and weights.classes == (1, weights.modulus - 1):
+        elif weights.is_plus_minus:
             torsion = 2
 
     def split(forced: tuple[int, ...], allowed: int, maps) -> list:

@@ -63,22 +63,13 @@ class FormulaValue:
         return out
 
 
-def _is_plus_minus(group: GroupSpec, weights: WeightSet) -> bool:
-    return weights == WeightSet.plus_minus(group.exponent)
-
-
-def _is_classic(group: GroupSpec, weights: WeightSet) -> bool:
-    return weights.classes == (1,)
-
-
 def gw_equals_order_plus_one(group: GroupSpec, weights: WeightSet) -> bool:
     """Whether every squarefree sequence shorter than the whole group has no
     weighted zero-sum of full-exponent length, i.e. the squarefree constant
     sits at |G| + 1.  True exactly for elementary 2-groups, and for cyclic
     groups of even order n when all weight classes are odd and agree modulo
     the 2-part of n."""
-    if weights.modulus != group.exponent:
-        raise ValueError("weight modulus does not match the group exponent")
+    weights.check_exponent(group)
     if weights.trivial:
         raise ValueError("the boundary characterization needs a weight set without class zero")
     if group.is_elementary_two:
@@ -98,8 +89,7 @@ def gw_equals_order_plus_one(group: GroupSpec, weights: WeightSet) -> bool:
 def harborth_formula(group: GroupSpec, weights: WeightSet) -> FormulaValue:
     """Squarefree constant: smallest g with every squarefree sequence of
     length >= g holding a weighted zero-sum of length exp(G)."""
-    if weights.modulus != group.exponent:
-        raise ValueError("weight modulus does not match the group exponent")
+    weights.check_exponent(group)
     if weights.trivial:
         return FormulaValue.point("trivial-weights", group.exponent)
     if group.is_elementary_two:
@@ -110,10 +100,10 @@ def harborth_formula(group: GroupSpec, weights: WeightSet) -> FormulaValue:
         return FormulaValue.point("harborth-cyclic", n + bump)
     n = group.shape_2x2n()
     if n is not None:
-        if _is_plus_minus(group, weights):
+        if weights.is_plus_minus:
             value = 2 * n + 2 if n >= 3 else 5
             return FormulaValue.point("harborth-rank2-pm", value)
-        if _is_classic(group, weights):
+        if weights.is_classic:
             value = 2 * n + 3 if n % 2 == 1 else 2 * n + 2
             return FormulaValue.point("harborth-rank2-classic", value)
         return FormulaValue.none(f"no closed form for weights {weights.label()} on {group.describe()}")
@@ -123,11 +113,10 @@ def harborth_formula(group: GroupSpec, weights: WeightSet) -> FormulaValue:
 def egz_formula(group: GroupSpec, weights: WeightSet) -> FormulaValue:
     """Sequence constant: smallest s with every sequence of length >= s
     holding a weighted zero-sum of length exp(G)."""
-    if weights.modulus != group.exponent:
-        raise ValueError("weight modulus does not match the group exponent")
+    weights.check_exponent(group)
     if weights.trivial:
         return FormulaValue.point("trivial-weights", group.exponent)
-    if not _is_plus_minus(group, weights):
+    if not weights.is_plus_minus:
         return FormulaValue.none(f"no closed form for weights {weights.label()} on {group.describe()}")
     if group.is_cyclic:
         n = group.order
@@ -143,11 +132,10 @@ def egz_formula(group: GroupSpec, weights: WeightSet) -> FormulaValue:
 def davenport_formula(group: GroupSpec, weights: WeightSet) -> FormulaValue:
     """Smallest D with every sequence of length >= D holding a nonempty
     weighted zero-sum."""
-    if weights.modulus != group.exponent:
-        raise ValueError("weight modulus does not match the group exponent")
+    weights.check_exponent(group)
     if weights.trivial:
         return FormulaValue.point("trivial-weights", 1)
-    if not _is_plus_minus(group, weights):
+    if not weights.is_plus_minus:
         return FormulaValue.none(f"no closed form for weights {weights.label()} on {group.describe()}")
     n = group.shape_2x2n()
     if n is not None:
@@ -160,11 +148,10 @@ def davenport_formula(group: GroupSpec, weights: WeightSet) -> FormulaValue:
 def eta_formula(group: GroupSpec, weights: WeightSet) -> FormulaValue:
     """Smallest e with every sequence of length >= e holding a nonempty
     weighted zero-sum of length <= exp(G)."""
-    if weights.modulus != group.exponent:
-        raise ValueError("weight modulus does not match the group exponent")
+    weights.check_exponent(group)
     if weights.trivial:
         return FormulaValue.point("trivial-weights", 1)
-    if not _is_plus_minus(group, weights):
+    if not weights.is_plus_minus:
         return FormulaValue.none(f"no closed form for weights {weights.label()} on {group.describe()}")
     if group.invariant_factors == (2, 2):
         return FormulaValue.point("eta-pm-klein", 4)

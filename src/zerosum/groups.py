@@ -12,6 +12,7 @@ members.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
@@ -46,7 +47,9 @@ class GroupSpec:
     """
 
     def __init__(self, invariant_factors: Iterable[int]):
-        factors = tuple(int(n) for n in invariant_factors)
+        factors = tuple(invariant_factors)
+        if not all(isinstance(n, int) for n in factors):
+            raise ValueError(f"invariant factors must be integers, got {factors}")
         if not factors:
             raise ValueError("at least one invariant factor is required")
         if any(n < 2 for n in factors):
@@ -93,20 +96,27 @@ class GroupSpec:
 
     # -- element encoding -------------------------------------------------
 
+    def check_index(self, index: int) -> int:
+        """The index itself, once it is checked to be an integer in [0, |G|)."""
+        index = operator.index(index)
+        if not 0 <= index < self.order:
+            raise ValueError(f"element index {index} out of range [0,{self.order})")
+        return index
+
     def index_of(self, coords: Iterable[int]) -> int:
         cs = tuple(coords)
         if len(cs) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(cs)}")
         idx = 0
         for c, n, b in zip(cs, self.invariant_factors, self._strides):
+            c = operator.index(c)
             if not 0 <= c < n:
                 raise ValueError(f"coordinate {c} out of range [0,{n})")
             idx += c * b
         return idx
 
     def coords_of(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.order:
-            raise ValueError(f"element index {index} out of range [0,{self.order})")
+        index = self.check_index(index)
         out = []
         for n in self.invariant_factors:
             out.append(index % n)
@@ -117,8 +127,6 @@ class GroupSpec:
         return GroupElement(self, self.index_of(coords))
 
     def element_at(self, index: int) -> "GroupElement":
-        if not 0 <= index < self.order:
-            raise ValueError(f"element index {index} out of range [0,{self.order})")
         return GroupElement(self, index)
 
     @property
@@ -302,6 +310,9 @@ class GroupElement:
     group: GroupSpec
     index: int
 
+    def __post_init__(self):
+        self.group.check_index(self.index)
+
     @property
     def coords(self) -> tuple[int, ...]:
         return self.group.coords_of(self.index)
@@ -416,14 +427,12 @@ class SumSet:
 
 
 def _member_index(group: GroupSpec, member) -> int:
+    """The index of a member given as an element of the group or as an index."""
     if isinstance(member, GroupElement):
         if member.group != group:
             raise GroupMismatchError("element belongs to a different group")
         return member.index
-    idx = int(member)
-    if not 0 <= idx < group.order:
-        raise ValueError(f"element index {idx} out of range [0,{group.order})")
-    return idx
+    return group.check_index(member)
 
 
 def doubling_subgroup(group: GroupSpec) -> SumSet:

@@ -286,28 +286,23 @@ _PREDICATES = {
 }
 
 
-def weights_for_theorem(theorem: TheoremId, group: GroupSpec, weights: WeightSet | None) -> WeightSet:
-    """Resolve and hypothesis-check the weight set a characterization speaks about."""
+def check_theorem_hypotheses(theorem: TheoremId, group: GroupSpec, weights: WeightSet | None) -> WeightSet:
+    """Resolve the weight set a characterization speaks about, then check
+    the theorem's hypotheses: the weights first, then the group's scope."""
     scope = _SCOPES.get(theorem)
     if scope is not None:
         expected = scope.weights(group.exponent)
         if weights is not None and weights != expected:
             raise HypothesisError(f"{theorem.value} is about {scope.about}, not {weights.label()}")
+        _scope_n(theorem, group)
         return expected
     if weights is None:
         raise HypothesisError(f"{theorem.value} needs an explicit weight set")
     if weights.trivial:
         raise HypothesisError("weight sets containing class zero are out of scope")
-    return weights
-
-
-def check_theorem_hypotheses(theorem: TheoremId, group: GroupSpec, weights: WeightSet | None) -> WeightSet:
-    w = weights_for_theorem(theorem, group, weights)
-    if theorem is not TheoremId.FULL_GROUP:
-        _scope_n(theorem, group)
-    elif not gw_equals_order_plus_one(group, w):
+    if not gw_equals_order_plus_one(group, weights):
         raise HypothesisError(f"{theorem.value} applies only when the squarefree constant is |G| + 1")
-    return w
+    return weights
 
 
 @dataclass(frozen=True)
@@ -396,11 +391,8 @@ def _shape_count(theorem: TheoremId, group: GroupSpec, length: int) -> int:
         halves = [h for h in range(order) if add[h][h] == sig]
         if not halves:
             continue
-        start = 0
-        for h in halves:
-            start = add[start][h]
         by_sum = [0] * order  # by_sum[x]: choices from the pairs so far with running sum x
-        by_sum[start] = 1
+        by_sum[sigma_index(group, halves)] = 1
         used = set(halves)
         for x in range(order):
             if x in used:

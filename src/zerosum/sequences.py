@@ -26,7 +26,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from zerosum.groups import GroupElement, GroupSpec, SumSet, _replicate
+from zerosum.groups import GroupElement, GroupSpec, SumSet, _member_index, _replicate
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,24 @@ class WeightSet:
     classes: tuple[int, ...]
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("weight modulus must be positive")
+        self._check_modulus(self.modulus)
         if not self.classes:
             raise ValueError("weight set must be nonempty")
+        if not all(isinstance(w, int) for w in self.classes):
+            raise ValueError("weight classes must be integers")
         if self.classes != tuple(sorted(set(w % self.modulus for w in self.classes))):
             raise ValueError("weight classes must be reduced, sorted and duplicate-free")
 
+    @staticmethod
+    def _check_modulus(modulus: int) -> None:
+        if not isinstance(modulus, int):
+            raise ValueError("weight modulus must be an integer")
+        if modulus < 1:
+            raise ValueError("weight modulus must be positive")
+
     @classmethod
     def of(cls, modulus: int, weights: Iterable[int]) -> "WeightSet":
-        if modulus < 1:  # before reducing, which would divide by zero
-            raise ValueError("weight modulus must be positive")
+        cls._check_modulus(modulus)  # before reducing, which would divide by zero
         return cls(modulus, tuple(sorted(set(w % modulus for w in weights))))
 
     @classmethod
@@ -80,10 +87,25 @@ class WeightSet:
         """True when the zero class is available, collapsing every sum to 0."""
         return 0 in self.classes
 
+    @property
+    def is_classic(self) -> bool:
+        """The one weight 1.  On modulus 2 this is also the plus-minus set."""
+        return self.classes == (1 % self.modulus,)
+
+    @property
+    def is_plus_minus(self) -> bool:
+        """The weights 1 and -1."""
+        return set(self.classes) == {1 % self.modulus, -1 % self.modulus}
+
+    def check_exponent(self, group: GroupSpec) -> None:
+        """Refuse a group whose exponent is not the weight modulus."""
+        if self.modulus != group.exponent:
+            raise ValueError("weight modulus does not match the group exponent")
+
     def label(self) -> str:
-        if self.classes == WeightSet.classic(self.modulus).classes:
+        if self.is_classic:
             return "classic"
-        if self.classes == WeightSet.plus_minus(self.modulus).classes:
+        if self.is_plus_minus:
             return "pm"
         return ",".join(str(w) for w in self.classes)
 
@@ -120,19 +142,12 @@ class Sequence:
     def from_indices(cls, group: GroupSpec, indices: Iterable[int]) -> "Sequence":
         mult = [0] * group.order
         for i in indices:
-            if not 0 <= i < group.order:
-                raise ValueError(f"element index {i} out of range [0,{group.order})")
-            mult[i] += 1
+            mult[group.check_index(i)] += 1
         return cls(group, tuple(mult))
 
     @classmethod
     def from_elements(cls, group: GroupSpec, elems: Iterable[GroupElement]) -> "Sequence":
-        idxs = []
-        for e in elems:
-            if e.group != group:
-                raise ValueError("element belongs to a different group")
-            idxs.append(e.index)
-        return cls.from_indices(group, idxs)
+        return cls.from_indices(group, [_member_index(group, e) for e in elems])
 
     @classmethod
     def full_squarefree(cls, group: GroupSpec) -> "Sequence":
@@ -200,11 +215,7 @@ class Sequence:
             yield GroupElement(self.group, i)
 
     def multiplicity(self, member) -> int:
-        if isinstance(member, GroupElement):
-            if member.group != self.group:
-                raise ValueError("element belongs to a different group")
-            return self.mult[member.index]
-        return self.mult[int(member)]
+        return self.mult[_member_index(self.group, member)]
 
     def literal(self) -> str:
         terms = _term_literals(self.group)
@@ -213,7 +224,7 @@ class Sequence:
     # -- edits ---------------------------------------------------------------
 
     def remove_index(self, i: int) -> "Sequence":
-        if self.mult[i] < 1:
+        if self.mult[self.group.check_index(i)] < 1:
             raise ValueError(f"element index {i} not present")
         mult = list(self.mult)
         mult[i] -= 1
@@ -260,8 +271,7 @@ def subsums_sigma0(seq: Sequence) -> SumSet:
 @lru_cache(maxsize=64)
 def weight_multiples(group: GroupSpec, weights: WeightSet) -> tuple[tuple[int, ...], ...]:
     """Per element g: each distinct w*g for w in the weight set, once."""
-    if weights.modulus != group.exponent:
-        raise ValueError(f"weight modulus {weights.modulus} does not match exponent {group.exponent}")
+    weights.check_exponent(group)
     return tuple(tuple(dict.fromkeys(group.scale_index(w, g) for w in weights.classes))
                  for g in range(group.order))
 
@@ -396,8 +406,7 @@ def weighted_length_sums_oracle(seq: Sequence, weights: WeightSet) -> dict[int, 
 
     Exponential in the length; only for cross-checking small instances.
     """
-    if weights.modulus != seq.group.exponent:
-        raise ValueError("weight modulus does not match the group exponent")
+    weights.check_exponent(seq.group)
     g = seq.group
     terms = seq.indices()
     out: dict[int, set[int]] = {ln: set() for ln in range(len(terms) + 1)}
@@ -416,8 +425,7 @@ def weighted_length_sums_oracle(seq: Sequence, weights: WeightSet) -> dict[int, 
 def oracle_has_weighted_zero_of_length(seq: Sequence, weights: WeightSet, length: int) -> bool:
     """Same question as has_weighted_zero_of_length, answered with no shared
     machinery, by ``oracle_terms_have_zero_of_length``."""
-    if weights.modulus != seq.group.exponent:
-        raise ValueError("weight modulus does not match the group exponent")
+    weights.check_exponent(seq.group)
     return oracle_terms_have_zero_of_length(seq.group, weights, seq.indices(), length)
 
 
@@ -444,10 +452,7 @@ def oracle_terms_have_zero_of_length(group: GroupSpec, weights: WeightSet, terms
         add, times_w = group.add_table, group.scale_table[weights.classes[0]]
         target = 0
         if side < length:  # list the dropped terms
-            total = 0
-            for t in terms:
-                total = add[total][t]
-            target = times_w[total]
+            target = times_w[sigma_index(group, terms)]
         for subset in combinations(terms, side):
             acc = 0
             for t in subset:
@@ -462,9 +467,10 @@ def oracle_ops(weights: WeightSet, count: int, length: int) -> int:
     """The price ``enumerate_extremal``'s sample rule puts on one length
     oracle call on ``count`` terms: for one weight class C(count, m)*m,
     m = min(length, count - length), the reads of the subset complement; for
-    several C(count, length)*|W|^length*length, the reads of a recursion
-    over weight assignments.  The oracle's DP costs far less there, but a DP
-    over every member measured slower than the sample this price keeps."""
+    several C(count, length)*|W|^length*length, a price the sample rule
+    sets, not the oracle's cost.  The oracle's DP costs far less there, but
+    a DP over every member measured slower than the sample this price keeps
+    (2,10 pm: 35 ms against 23 ms)."""
     if not 0 < length <= count:
         return 0
     if len(weights.classes) == 1:
@@ -477,8 +483,7 @@ def oracle_has_weighted_zero_up_to(seq: Sequence, weights: WeightSet, maxlen: in
     """Whether some nonempty subsequence of length <= maxlen has a weighted
     zero-sum: rows 1..maxlen of the length DP (``_zero_in_rows``),
     independent of the table machinery."""
-    if weights.modulus != seq.group.exponent:
-        raise ValueError("weight modulus does not match the group exponent")
+    weights.check_exponent(seq.group)
     return _zero_in_rows(seq.group, weights, seq.indices(), 1, maxlen)
 
 

@@ -549,12 +549,17 @@ def test_enumerate_writes_each_literal_once(capsys, monkeypatch, output):
 # -- README examples ---------------------------------------------------------------
 
 
+def _readme_blocks():
+    """Each fenced block of README.md as ``(info, body)``, info the text after the opening fence."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return re.findall(r"^```([^\n]*)\n(.*?)^```", text, flags=re.M | re.S)
+
+
 def _readme_examples():
     """Each fenced block of README.md that starts with ``$ zerosum``, as
     ``(argv, head, expected)``; ``head`` is N for a trailing ``| head -N``."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
     out = []
-    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+    for _, block in _readme_blocks():
         first, _, expected = block.partition("\n")
         if not first.startswith("$ zerosum "):
             continue
@@ -571,3 +576,12 @@ def test_readme_example_output(capsys, argv, head, expected):
     if head is not None:
         out = "".join(out.splitlines(keepends=True)[:head])
     assert out == expected
+
+
+@pytest.mark.parametrize("code", [body for info, body in _readme_blocks() if info == "python"])
+def test_readme_library_example_output(capsys, code):
+    # each print(...) line ends in a comment "# N" with what it prints
+    expected = re.findall(r"^print\(.*#\s*(.*?)\s*$", code, flags=re.M)
+    exec(compile(code, "README.md", "exec"), {})
+    assert expected
+    assert capsys.readouterr().out.splitlines() == expected

@@ -5,6 +5,7 @@ import pytest
 from zerosum.groups import (
     ORDER_CEILING,
     GroupCeilingError,
+    GroupElement,
     GroupMismatchError,
     GroupSpec,
     SumSet,
@@ -39,6 +40,8 @@ def test_parse_group_rejects_bad_chains():
         parse_group("2,x")
     with pytest.raises(ValueError, match="at least one invariant factor"):
         GroupSpec([])
+    with pytest.raises(ValueError, match="must be integers"):
+        GroupSpec([2.9, 4])
 
 
 def test_order_ceiling():
@@ -58,6 +61,11 @@ def test_index_coords_round_trip():
                 g.coords_of(index)
             with pytest.raises(ValueError, match="out of range"):
                 g.element_at(index)
+        for bad in (g.coords_of, g.element_at, lambda i: GroupElement(g, i)):
+            with pytest.raises(TypeError):
+                bad(g.order - 1.5)
+        with pytest.raises(TypeError):
+            g.index_of((0.5,) + (1,) * (g.rank - 1))
 
 
 def test_index_encoding_most_significant_last():
@@ -262,3 +270,7 @@ def test_sumset_container_basics():
     for bits in (-1, 1 << g.order):
         with pytest.raises(ValueError, match="bit mask out of range"):
             SumSet(g, bits)
+    with pytest.raises(TypeError):
+        2.7 in s
+    with pytest.raises(TypeError):
+        SumSet.of(g, [2.7])

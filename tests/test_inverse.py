@@ -24,7 +24,6 @@ from zerosum.inverse import (
     predicate_unweighted_even,
     predicate_unweighted_odd,
     verify_characterization,
-    weights_for_theorem,
 )
 from zerosum.inverse import _PREDICATES, _is_squarefree_of_length, _scope_n, _shape_count
 from zerosum.sequences import (
@@ -801,9 +800,9 @@ def test_predicate_scope_is_the_hypothesis_scope(theorem):
 
 def test_weights_for_theorem_defaults():
     g = parse_group("2,4")
-    assert weights_for_theorem(TheoremId.C2C4_PM, g, None).classes == (1, 3)
+    assert check_theorem_hypotheses(TheoremId.C2C4_PM, g, None).classes == (1, 3)
     g = parse_group("2,6")
-    assert weights_for_theorem(TheoremId.UNWEIGHTED_ODD, g, None).classes == (1,)
+    assert check_theorem_hypotheses(TheoremId.UNWEIGHTED_ODD, g, None).classes == (1,)
 
 
 def test_hypothesis_wrong_group_shape():

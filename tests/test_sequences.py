@@ -53,6 +53,10 @@ def test_weight_set_normalization():
     for classes in [(5,), (3, 1), (1, 1)]:  # unreduced, unsorted, repeated
         with pytest.raises(ValueError, match="reduced, sorted and duplicate-free"):
             WeightSet(4, classes)
+    # a float is refused, not reduced: 1.5 would pass as a class, 4.0 as the exponent 4
+    for build in (lambda: WeightSet.of(4, [1.5]), lambda: WeightSet.of(4.0, [1, 3]), lambda: WeightSet(4, (1.5,))):
+        with pytest.raises(ValueError, match="must be (an )?integers?$"):
+            build()
 
 
 def test_weight_labels():
@@ -128,6 +132,13 @@ def test_sequence_constructors_refuse_bad_input():
             Sequence.from_indices(g, [0, index])
     with pytest.raises(ValueError, match="different group"):
         Sequence.from_elements(g, [g.element_at(1), GroupSpec([8]).element_at(1)])
+    s = Sequence.from_indices(g, [1, 7])
+    with pytest.raises(ValueError, match="out of range"):
+        s.multiplicity(-1)  # not the last element's multiplicity
+    with pytest.raises(TypeError):
+        s.multiplicity(7.9)
+    with pytest.raises(ValueError, match="out of range"):
+        s.remove_index(-1)
 
 
 def test_sigma_examples():
