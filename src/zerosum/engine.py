@@ -45,20 +45,31 @@ of the plan run in order, each pushing its forced terms and then walking
 its start mask, and one bound, the best length so far, carries from job to
 job; the maximal failing length L is the best at the end.  Then one probe
 for L over the lowest members of each class (``_lowest_members``), whose
-first chain is the colex-least witness.  A census is one class walk that
-keeps its ties, each lifted to every failing sequence it stands for
-(``_lift``) and sorted into colex order, with the witness first; with
-one-element orbits the lift is the walk's own hits.
+first chain is the colex-least witness.  A census takes one of two paths.
+A harborth census under one unit weight class (classic, or {u} with u a
+unit) is first listed by complements (``_complement_census``): a DP over
+the sets of exp + k terms, k = 0, 1, 2, finds L, a k = 3 walk
+(``_three_sum_walk``) refutes exp + 3 when k = 2, and the members are
+listed from the DP tables and their translates, then sorted into colex
+order.  Its nodes are the k = 3 walk's (forced pushes included) and one
+per listed member.  Every other census, and this one when L < exp or a
+failing set of exp + 3 terms exists, is one class walk that keeps its
+ties, counting on from the k = 3 walk's nodes, each tie lifted to every
+failing sequence it stands for (``_lift``) and sorted into colex order,
+with the witness first; with one-element orbits the lift is the walk's
+own hits.  Both paths give the same members in the same order.
 ``failing_census`` returns the members as ascending index tuples, and
 ``Sequence.from_indices`` turns one into a sequence.  A census builds no
 Gamma and no plan.  Every walk is sequential, and its nodes depend only on
 the search inputs.  Roots (topmost elements) go in index order, and the
 bound carries from root to root.  One node budget covers every forced push,
-every job's walk and the probe, each counting on from the running total,
-and a search stops at the first node past it, naming the job, the probe or
-the class walk it stopped in, so node counts, witnesses and budget aborts
-are byte-stable across runs.  Reports carry no timing, so two identical
-searches return equal reports; the CLI times its calls for ``--perf``.
+every job's walk and the probe, or the k = 3 walk, the listing and the
+class walk, each counting on from the running total, and a search stops at
+the first node past it, naming the job, the probe, the complement walk or
+listing, or the class walk it stopped in, so node counts, witnesses and
+budget aborts are byte-stable across runs.  Reports carry no timing, so
+two identical searches return equal reports; the CLI times its calls for
+``--perf``.
 """
 
 from __future__ import annotations
@@ -92,8 +103,9 @@ class SearchBudgetExceeded(RuntimeError):
 
     ``nodes`` is the total the computation had used, ``budget + 1``, and
     ``phase`` the part of the search that used the last node: ``"class
-    walk"``, ``"job i of m"`` of a value search's plan, or ``"witness
-    probe"``.
+    walk"``, ``"job i of m"`` of a value search's plan, ``"witness
+    probe"``, or a census's ``"complement walk"`` (k = 3) or
+    ``"complement listing"``.
     """
 
     def __init__(self, nodes: int, budget: int, phase: str = "class walk"):
@@ -592,6 +604,206 @@ def _plan(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None):
     return tuple(jobs)
 
 
+# -- harborth censuses by complements ------------------------------------------------
+
+
+def _one_unit(weights: WeightSet) -> bool:
+    """Whether W = {u} with u a unit: then a kept subset K has the one
+    weighted sum u*sigma(K), which is 0 exactly when sigma(K) is, so W has
+    the zero-sums of classic weights."""
+    return len(weights.classes) == 1 and gcd(weights.classes[0], weights.modulus) == 1
+
+
+def _coset_reps(group: GroupSpec, k: int, units=(1,)) -> list[int]:
+    """The least element of each class of G under s -> u*s + k*h, u in
+    ``units``: the coset representatives of kG with ``units = (1,)``."""
+    times_k, add = group.scale_table[k % group.exponent], group.add_table
+    reps, seen = [], 0
+    for s in range(group.order):
+        if not seen >> s & 1:
+            reps.append(s)
+            for u in units:
+                us = group.scale_table[u][s]
+                for h in range(group.order):
+                    seen |= 1 << add[us][times_k[h]]
+    return reps
+
+
+def _choices(group: GroupSpec, k: int, sig: int) -> list[tuple[int, ...]]:
+    """What a failing set of exp + k terms with sum ``sig`` picks from, for
+    k <= 2: a list of choices, at most one member of each.  Its exp-subsets
+    are the complements of its k-subsets, so it fails exactly when no
+    k-subset sums to sig: for k = 0 when sig is not 0 (the caller's test;
+    any elements), for k = 1 when sig is not a term (the elements other
+    than sig), for k = 2 when no two terms x, sig - x are both in it (the
+    pairs {x, sig - x}; an x with 2x = sig is a choice of its own)."""
+    if k < 2:
+        return [(x,) for x in range(group.order) if k == 0 or x != sig]
+    add, neg = group.add_table, group.scale_table[-1 % group.exponent]
+    pairs = ((x, add[sig][neg[x]]) for x in range(group.order))
+    return [(x, y) if x != y else (x,) for x, y in pairs if x <= y]
+
+
+@lru_cache(maxsize=8)
+def _byte_bits(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per byte j of an ``order``-bit mask: the ascending indices of each
+    byte value's set bits, offset by 8*j."""
+    return tuple(tuple(tuple(8 * j + i for i in range(8) if b >> i & 1) for b in range(256))
+                 for j in range((order + 7) // 8))
+
+
+def _complement_census(group: GroupSpec, budget: int):
+    """A harborth census under classic zero-sums as ``(nodes, members)``,
+    the members ascending index tuples in colex order, or ``(nodes, None)``
+    when the maximal failing length L is not exp + k for some 0 <= k <= 2.
+
+    A set S of exp + k terms fails exactly when no k of its terms sum to
+    sigma(S) (``_choices``).  For k = 0, 1, 2 and sigma over the coset
+    representatives of kG, a DP with state (size, sum) over the choices,
+    the classic subsum kernel pushed choice by choice from the last,
+    decides whether a failing set of exp + k terms exists; failing sets are
+    closed under subsets, so the largest such k gives L.  When k = 2, a
+    walk (``_three_sum_walk``) must refute exp + 3 as well.  The members
+    with a representative's sum are listed from its DP tables, and
+    translating S by h adds k*h to its sum, so one h per element of kG
+    lists the rest.  Sets are bit masks, and colex order is their numeric
+    order.
+
+    The DP is polynomial and uses no nodes; the walk counts its nodes, and
+    the listing one node per member, against ``budget``.
+    """
+    N, exp = group.order, group.exponent
+    add, neg = group.add_table, group.scale_table[-1 % exp]
+    found = None
+    for k in (0, 1, 2):
+        size = exp + k
+        if size > N:
+            break
+        empty, push = subsum_kernel(group, WeightSet.classic(exp), size)
+        tables, rest = [], None
+        for sig in _coset_reps(group, k):
+            if k == 0 and sig == 0:
+                continue  # a set of exp terms with sum 0 is a zero-sum
+            if k or rest is None:  # every sum has the same choices for k = 0
+                word, items = empty, _choices(group, k, sig)
+                rest = [word]  # rest[i]: the table over items[i:]
+                for item in reversed(items):
+                    new = word
+                    for a in item:
+                        new |= push(word, a)
+                    word = new
+                    rest.append(word)
+                rest.reverse()
+            if rest[0] >> size * N + sig & 1:
+                tables.append((sig, items, rest))
+        if not tables:
+            break
+        found = k, size, tables
+    if found is None:
+        return 0, None
+    k, size, tables = found
+    nodes = 0
+    if k == 2:
+        nodes, refuted = _three_sum_walk(group, budget)
+        if not refuted:
+            return nodes, None
+    phase = "complement listing"
+    members: list[int] = []
+    for sig, items, rest in tables:
+        todo = [(0, size, sig, 0)]  # (i, j, s, acc): j more terms from items[i:] with sum s, after acc
+        while todo:
+            i, j, s, acc = todo.pop()
+            for p in range(i, len(items)):
+                if not rest[p] >> j * N + s & 1:
+                    break  # nor can any later choice start the rest
+                after = rest[p + 1] >> (j - 1) * N
+                for a in items[p]:
+                    r = add[s][neg[a]]
+                    if not after >> r & 1:
+                        continue
+                    if j > 1:
+                        todo.append((p + 1, j - 1, r, acc | 1 << a))
+                        continue
+                    nodes += 1
+                    if nodes > budget:
+                        raise SearchBudgetExceeded(nodes, budget, phase)
+                    members.append(acc | 1 << a)
+    times_k = group.scale_table[k % exp]
+    shifts = {times_k[h]: h for h in range(N - 1, 0, -1) if times_k[h]}  # one h per nonzero k*h
+    translate = _packed_ops(group, WeightSet.classic(exp), 1)
+    listed = len(members)
+    for h in shifts.values():
+        if nodes + listed > budget:
+            raise SearchBudgetExceeded(budget + 1, budget, phase)
+        nodes += listed
+        op = translate[h]
+        members.extend([op(m) >> N for m in members[:listed]])
+    members.sort()
+    tabs = _byte_bits(N)
+    out = [tabs[0][m & 255] for m in members]
+    for j, tab in enumerate(tabs[1:], 1):
+        out = list(map(tuple.__add__, out, [tab[m >> 8 * j & 255] for m in members]))
+    return nodes, out
+
+
+def _three_sum_walk(group: GroupSpec, budget: int) -> tuple[int, bool]:
+    """Nodes used, and whether every set S of exp + 3 terms has 3 terms
+    summing to sigma(S), so that no failing set is that long.
+
+    For each sigma the walk looks for S with sum sigma and no 3 terms
+    summing to sigma.  Its state is the set of negated terms, the children
+    that would close such a triple (sigma - x for x a sum of two terms),
+    the sum and the size; a chain one term short may only take the term
+    that brings the sum to sigma.  Scaling S by a unit u multiplies sigma
+    by u and translating it by h adds 3*h, so sigma runs over
+    ``_coset_reps`` of 3G under the units.  Translations by G[3], the h
+    with 3*h = 0, keep sigma and each coset of G[3], so one job per coset
+    C, in index order, forces C's least element and walks C and the later
+    cosets: some translate of S holds it, where C is the first coset S
+    meets.
+    """
+    N, exp = group.order, group.exponent
+    size = exp + 3
+    if size > N:
+        return 0, True
+    add, neg = group.add_table, group.scale_table[-1 % exp]
+    times3 = group.scale_table[3 % exp]
+    translate = _packed_ops(group, WeightSet.classic(exp), 1)
+    full = group.full_mask
+    moves = {"below": tuple((1 << c) - 1 for c in range(N)), "unlock": (0,) * N, "width": (1,) * N,
+             "levels": ()}
+    torsion = [h for h in range(N) if not times3[h]]
+    phase = "complement walk"
+    nodes = 0
+    for sig in _coset_reps(group, 3, tuple(u for u in range(1, exp) if gcd(u, exp) == 1)):
+        def push(state, x: int):
+            negated, closing, total, n = state
+            return (negated | 1 << neg[x], closing | translate[add[sig][neg[x]]](negated) >> N,
+                    add[total][x], n + 1)
+
+        def dead(state) -> int:
+            _, closing, total, n = state
+            if n == size - 1:
+                return closing | (full ^ 1 << add[sig][neg[total]])
+            return closing
+
+        allowed = full
+        for r in range(N):
+            if not allowed >> r & 1:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(nodes, budget, phase)
+            found, _, _, nodes = _walk(allowed ^ 1 << r, push((0, 0, 0, 0), r), push, **moves, dead=dead,
+                                       best=size - 2, cap=size - 1, ties=False, budget=budget, spent=nodes,
+                                       phase=phase)
+            if found == size - 1:
+                return nodes, False
+            for h in torsion:
+                allowed &= ~(1 << add[r][h])
+    return nodes, True
+
+
 def _validate_witness(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, witness: Sequence) -> None:
     """Re-check the witness through the independent oracles, never the kernel."""
     if kind is ConstantKind.CRITICAL:
@@ -630,9 +842,11 @@ def _compute(
     A value search runs the jobs of ``_plan`` to find the maximal failing
     length L, sharing the states of forced terms from one job to the next,
     and then a probe for L over the lowest class members for the witness.
-    A census is one class walk (``_classes``) that keeps its ties, lifted
-    (``_lift``) when some orbit has more than one member.  ``node_budget``
-    covers the whole search."""
+    A harborth census under one unit weight class is listed by complements
+    (``_complement_census``) when L is exp + k for some 0 <= k <= 2; any
+    other census is one class walk (``_classes``) that keeps its ties,
+    lifted (``_lift``) when some orbit has more than one member.
+    ``node_budget`` covers the whole search."""
     if kind is ConstantKind.CRITICAL:
         if weights is not None:
             raise SearchInputError("the critical number takes no weight set")
@@ -650,11 +864,21 @@ def _compute(
     # squarefree chain has at most |G| terms; reaching it can only mean a bug
     cap = 4 * group.order + exp + 8
     if want_census:
-        length, chain, hits, nodes = _walk(tops, init_state, push, **moves, dead=dead,
-                                           best=0, cap=cap, ties=True, budget=node_budget, room=room)
-        if tops != start:
-            hits = _lift(hits, orbit, multiset)
+        nodes, hits = 0, None
+        if kind is ConstantKind.HARBORTH and _one_unit(weights):
+            nodes, hits = _complement_census(group, node_budget)
+        if hits is None:
+            length, chain, hits, nodes = _walk(tops, init_state, push, **moves, dead=dead, best=0, cap=cap,
+                                               ties=True, budget=node_budget, room=room, spent=nodes)
+            if tops != start:
+                hits = _lift(hits, orbit, multiset)
+            # a chain runs from its topmost element down, so reversed it
+            # ascends; each hit is replaced in place, so one copy of the
+            # census is live
+            for i, hit in enumerate(hits):
+                hits[i] = hit[::-1]
         chain = hits[0]
+        length = len(chain)
     else:
         length = nodes = 0
         jobs = _plan(kind, group, weights)
@@ -708,10 +932,6 @@ def _compute(
                           witness=witness, nodes_visited=nodes)
     if not want_census:
         return report, None
-    # a chain runs from its topmost element down, so reversed it ascends;
-    # each hit is replaced in place, so one copy of the census is live
-    for i, hit in enumerate(hits):
-        hits[i] = hit[::-1]
     return report, tuple(hits)
 
 

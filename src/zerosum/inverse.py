@@ -38,6 +38,7 @@ from zerosum.sequences import (
     _term_literals,
     enumerate_squarefree,
     has_weighted_zero_of_length,
+    negated_multiples,
     oracle_ops,
     oracle_terms_have_zero_of_length,
     sigma_index,
@@ -99,23 +100,26 @@ def enumerate_extremal(group: GroupSpec, weights: WeightSet, *, node_budget: int
     Sorted members share prefixes, and a table word depends only on the
     terms pushed so far, so one kernel keeps the words of the previous
     member's prefixes and pushes only the suffix in which the next member
-    differs; each member ends on the word a push from scratch gives.  The
-    oracle shares nothing with the kernel: for one weight class it lists the
-    smaller side of each kept/dropped split while that is cheap, else it
-    runs a DP over lengths.  ``oracle_ops`` is the sample rule's price, not
-    the oracle's cost: a DP over every pm member measured slower than the
-    kernel re-check plus this sample, so the rule stays as it is."""
+    differs, up to the last term, whose zero test is one AND against the
+    word before it; the kernel rejects a zero-sum of length exp(G) with any
+    earlier term.  The oracle shares nothing with the kernel: for one
+    weight class it lists the smaller side of each kept/dropped split while
+    that is cheap, else it runs a DP over lengths.  ``oracle_ops`` is the
+    sample rule's price, not the oracle's cost: a DP over every pm member
+    measured slower than the kernel re-check plus this sample, so the rule
+    stays as it is."""
     report, found = failing_census(ConstantKind.HARBORTH, group, weights, node_budget=node_budget)
     census = tuple(sorted(found))
     exp = group.exponent
     length = report.value - 1
     check_all = oracle_ops(weights, length, exp) * len(census) <= _FULL_ORACLE_OP_LIMIT
-    sample = set(range(len(census))) if check_all else set(
-        i * (len(census) - 1) // 7 for i in range(8)
-    )
-    empty, push = subsum_kernel(group, weights, exp)
-    top = exp * group.order  # bit 0 of row exp: a zero-sum of length exp
-    words = [empty] * (length + 1)  # words[j]: the word after the previous member's first j terms
+    sample = set() if check_all else {i * (len(census) - 1) // 7 for i in range(8)}
+    empty, push = subsum_kernel(group, weights, exp, (exp,))
+    last_row = (exp - 1) * group.order
+    # the last term t closes a zero-sum of length exp exactly when some -w*t
+    # lies in row exp - 1 of the word before it
+    closes = [m << last_row for m in negated_multiples(group, weights)]
+    words = [empty] * length  # words[j]: the word after the previous member's first j terms
     previous: tuple[int, ...] = ()
     for i, idxs in enumerate(census):
         if not _is_squarefree_of_length(idxs, length):
@@ -126,9 +130,14 @@ def enumerate_extremal(group: GroupSpec, weights: WeightSet, *, node_budget: int
             if a != b:
                 break
             shared += 1
-        for j in range(shared, length):
-            words[j + 1] = push(words[j], idxs[j])
-        if words[length] >> top & 1 or (i in sample and oracle_terms_have_zero_of_length(group, weights, idxs, exp)):
+        word = words[min(shared, length - 1)]
+        for j in range(shared, length - 1):
+            word = push(word, idxs[j])
+            if word is None:  # a zero-sum before the last term
+                break
+            words[j + 1] = word
+        if word is None or word & closes[idxs[-1]] or (
+                (check_all or i in sample) and oracle_terms_have_zero_of_length(group, weights, idxs, exp)):
             literal = Sequence.from_indices(group, idxs).literal()
             raise InternalCheckError(f"census member {literal} has a weighted zero-sum of length {exp}")
         previous = idxs
@@ -288,7 +297,11 @@ _PREDICATES = {
 
 def check_theorem_hypotheses(theorem: TheoremId, group: GroupSpec, weights: WeightSet | None) -> WeightSet:
     """Resolve the weight set a characterization speaks about, then check
-    the theorem's hypotheses: the weights first, then the group's scope."""
+    the theorem's hypotheses: the weights' modulus against exp(G) first,
+    then the weights, then the group's scope."""
+    if weights is not None and weights.modulus != group.exponent:
+        raise HypothesisError(f"{theorem.value} needs weights modulo exp(G) = {group.exponent} on "
+                              f"{group.describe()}, got weights modulo {weights.modulus}")
     scope = _SCOPES.get(theorem)
     if scope is not None:
         expected = scope.weights(group.exponent)

@@ -436,11 +436,13 @@ def oracle_terms_have_zero_of_length(group: GroupSpec, weights: WeightSet, terms
 
     With one weight class w, a kept subset K has the single weighted sum
     w*sigma(K) = w*sigma(S) - w*sigma(D), D the dropped terms, so it is 0
-    exactly when w*sigma(D) = w*sigma(S); the oracle lists the combinations
-    of whichever side is smaller, m = min(length, count - length) terms,
-    while those C(count, m)*m reads cost no more than the length DP's
-    count*(count - length + 1)*|G|.  Otherwise it reads row ``length`` of
-    the DP (``_zero_in_rows``).
+    exactly when w*sigma(D) = w*sigma(S); the oracle reads each term's
+    w*t once and lists the combinations of whichever side is smaller,
+    m = min(length, count - length) terms, while those C(count, m)*m reads
+    cost no more than the length DP's count*(count - length + 1)*|G|.  One
+    term on that side is a membership test, and two are one pass that
+    looks up each target - w*t among the w*s of the terms before it.
+    Otherwise it reads row ``length`` of the DP (``_zero_in_rows``).
     """
     count = len(terms)
     if length == 0:
@@ -449,15 +451,27 @@ def oracle_terms_have_zero_of_length(group: GroupSpec, weights: WeightSet, terms
         return False
     side = min(length, count - length)
     if len(weights.classes) == 1 and comb(count, side) * side <= count * (count - length + 1) * group.order:
-        add, times_w = group.add_table, group.scale_table[weights.classes[0]]
+        add, w = group.add_table, weights.classes[0]
+        times_w = group.scale_table[w]
+        wt = [times_w[t] for t in terms]
         target = 0
-        if side < length:  # list the dropped terms
-            target = times_w[sigma_index(group, terms)]
-        for subset in combinations(terms, side):
+        if side < length:  # list the dropped terms, which sum to w*sigma(S)
+            for a in wt:
+                target = add[target][a]
+        if side == 1:
+            return target in wt
+        if side == 2:  # some earlier w*s is target - w*t
+            minus, times_minus_w, seen = add[target], group.scale_table[-w % group.exponent], set()
+            for t, a in zip(terms, wt):
+                if minus[times_minus_w[t]] in seen:
+                    return True
+                seen.add(a)
+            return False
+        for subset in combinations(wt, side):
             acc = 0
-            for t in subset:
-                acc = add[acc][t]
-            if times_w[acc] == target:
+            for a in subset:
+                acc = add[acc][a]
+            if acc == target:
                 return True
         return False
     return _zero_in_rows(group, weights, terms, length, length)

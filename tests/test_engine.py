@@ -4,6 +4,7 @@ import ast
 import collections
 import functools
 import gc
+import hashlib
 import inspect
 import itertools
 import math
@@ -42,6 +43,7 @@ from zerosum.sequences import (
     oracle_has_weighted_zero_up_to,
     oracle_nonempty_subsums,
     oracle_terms_have_zero_of_length,
+    sigma_index,
     weighted_length_sums_oracle,
 )
 
@@ -498,7 +500,11 @@ def test_masked_walks_push_no_dead_child(monkeypatch):
                 for search in (compute_constant, failing_census):
                     pushes.clear()
                     search(kind, g, w)
-                    assert pushes and not any(rejected for _, rejected in pushes), (spec, w, kind)
+                    # a harborth census under one unit weight may be listed
+                    # by complements, with no class walk
+                    listed = search is failing_census and kind is ConstantKind.HARBORTH and engine._one_unit(w)
+                    assert pushes or listed, (spec, w, kind)
+                    assert not any(rejected for _, rejected in pushes), (spec, w, kind)
 
 
 # -- class walks ---------------------------------------------------------------------
@@ -534,12 +540,19 @@ def _class_walk_cases():
                     yield kind, spec, wspec
 
 
+def _class_walk_census(monkeypatch):
+    """Make ``failing_census`` take the class walk for every census, with no
+    listing by complements."""
+    monkeypatch.setattr(engine, "_complement_census", lambda group, budget: (0, None))
+
+
 @pytest.mark.parametrize("kind, spec, wspec", list(_class_walk_cases()))
-def test_class_walk_matches_the_element_walk(kind, spec, wspec):
+def test_class_walk_matches_the_element_walk(kind, spec, wspec, monkeypatch):
     # the plan with its probe, and the census lifted from the class walk's
     # ties, give the element walk's value, colex-least witness and census;
     # when every class is one element the census walk is the element walk,
-    # node for node
+    # node for node (a classic harborth census is made to walk here)
+    _class_walk_census(monkeypatch)
     g = parse_group(spec)
     w = WeightSet.parse(wspec, g.exponent)
     length, hits, census_nodes = _element_walk(kind, g, w, ties=True)
@@ -551,6 +564,100 @@ def test_class_walk_matches_the_element_walk(kind, spec, wspec):
     assert list(census) == hits and hits[0] == witness
     if engine._stabiliser(w) == (1,):
         assert census_report.nodes_visited == census_nodes
+
+
+# the acceptance grid's groups; the class walk passes 2M nodes on the
+# censuses of 2,12 and 4,8
+_COMPLEMENT_GROUPS = ("2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "2,2", "2,4", "2,6", "2,8", "2,10",
+                      "3,3", "3,6", "4,4", "5,5", "2,2,2", "2,2,4", "2,2,2,2", "3,3,3")
+
+
+def _census_digest(g, census):
+    return hashlib.sha256("\n".join(Sequence.from_indices(g, idxs).literal() for idxs in census).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", _COMPLEMENT_GROUPS)
+def test_complement_census_matches_the_class_walk(spec, monkeypatch):
+    # every harborth census under one unit weight class equals the class
+    # walk's: value, witness, members, colex order and digest; a listed
+    # census counts its k = 3 walk (when L = exp + 2) and one node per
+    # member, and a census that falls back counts its k = 3 walk (when
+    # L >= exp + 3) and then the class walk's nodes.  Under {u} the class
+    # walk runs on the same scaled weights {-1} for every unit u, so one
+    # walk under classic weights is the reference for all of them.
+    g = parse_group(spec)
+    e = g.exponent
+    listed = engine._complement_census(g, 10**9)[1] is not None
+    three = engine._three_sum_walk(g, 10**9)[0]
+    with monkeypatch.context() as m:
+        _class_walk_census(m)
+        walked, walked_census = failing_census(ConstantKind.HARBORTH, g, classic(e))
+    for u in (u for u in range(1, e) if math.gcd(u, e) == 1):
+        w = WeightSet.of(e, [u])
+        assert engine._unit_scaled(w) == WeightSet.of(e, [-1])
+        report, census = failing_census(ConstantKind.HARBORTH, g, w)
+        assert (report.value, report.witness) == (walked.value, walked.witness), (spec, u)
+        assert census == walked_census and _census_digest(g, census) == _census_digest(g, walked_census)
+        assert list(census) == sorted(census, key=lambda t: t[::-1]) and census[0] == report.witness.indices()
+        k = report.value - 1 - e
+        assert listed == (0 <= k <= 2), (spec, k)
+        walks = three if k >= 2 else 0
+        assert report.nodes_visited == walks + (len(census) if listed else walked.nodes_visited), (spec, u)
+
+
+def test_complement_census_lists_translates_and_pair_choices():
+    # 2,8 classic: L = exp + 1, the 306 sets with sum 0 that avoid 0 and
+    # their 15 translates; 2,6 classic: L = exp + 2, one term of each pair
+    # {x, sig - x} and every x with 2x = sig, after a k = 3 walk of 34 nodes
+    g = parse_group("2,8")
+    nodes, census = engine._complement_census(g, 10**9)
+    add = g.add_table
+    assert nodes == len(census) == 4896
+    base = [m for m in census if sigma_index(g, m) == 0]
+    assert len(base) == 306 and all(0 not in m for m in base)
+    assert sorted(census) == sorted(tuple(sorted(add[h][x] for x in m)) for h in range(16) for m in base)
+    g = parse_group("2,6")
+    nodes, census = engine._complement_census(g, 10**9)
+    add = g.add_table
+    assert (nodes, len(census)) == (34 + 18, 18) and engine._three_sum_walk(g, 10**9) == (34, True)
+    for m in census:
+        sig = sigma_index(g, m)
+        assert not any(add[x][y] == sig for x, y in itertools.combinations(m, 2))
+
+
+@pytest.mark.parametrize("spec, k3_nodes", [("3,6", 2377), ("2,2,4", 1671), ("2,10", 287)])
+def test_complement_census_budget_names_its_phase(spec, k3_nodes):
+    # one budget covers the k = 3 walk and the listing; an abort names the
+    # one it stopped in, at node budget + 1
+    g = parse_group(spec)
+    w = classic(g.exponent)
+    assert engine._three_sum_walk(g, 10**9) == (k3_nodes, True)
+    report, census = failing_census(ConstantKind.HARBORTH, g, w)
+    total = report.nodes_visited
+    assert total == k3_nodes + len(census)
+    for budget, phase in ((0, "complement walk"), (k3_nodes // 2, "complement walk"),
+                          (k3_nodes - 1, "complement walk"), (k3_nodes, "complement listing"),
+                          ((k3_nodes + total) // 2, "complement listing"), (total - 1, "complement listing")):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            failing_census(ConstantKind.HARBORTH, g, w, node_budget=budget)
+        assert (exc.value.nodes, exc.value.phase) == (budget + 1, phase), budget
+    again, again_census = failing_census(ConstantKind.HARBORTH, g, w, node_budget=total)
+    assert again.to_dict() == report.to_dict() and again_census == census
+
+
+def test_complement_census_falls_back_to_the_class_walk():
+    # 4,4 classic has a failing set of exp + 3 terms (L = exp + 4), so the
+    # census walks its classes after the k = 3 walk, counting on from it;
+    # C5 has no failing set of exp terms and walks at once
+    g = parse_group("4,4")
+    three, refuted = engine._three_sum_walk(g, 10**9)
+    assert not refuted and engine._complement_census(g, 10**9) == (three, None)
+    report, census = failing_census(ConstantKind.HARBORTH, g, classic(4))
+    assert report.value == 9 and len(census) == 24
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        failing_census(ConstantKind.HARBORTH, g, classic(4), node_budget=three)
+    assert (exc.value.nodes, exc.value.phase) == (three + 1, "class walk")
+    assert engine._complement_census(parse_group("5"), 10**9) == (0, None)
 
 
 def _probe_cases():
@@ -1179,13 +1286,15 @@ def test_exists_failing_sequence_past_the_recursion_limit():
 
 def test_a_census_walk_leaves_no_garbage_cycle():
     # the walk's closure refers to itself; unless the walk breaks that cycle,
-    # its hits stay alive until the cyclic collector runs
+    # its hits stay alive until the cyclic collector runs; the same holds
+    # for the listing by complements and its k = 3 walk
     gc.collect()
     gc.disable()
     try:
-        report, census = engine.failing_census(ConstantKind.HARBORTH, parse_group("2,8"), classic(8))
-        assert len(census) == 4896
-        assert gc.collect() == 0
+        for spec, w, size in (("2,8", classic(8), 4896), ("3,6", classic(6), 3384), ("2,8", pm(8), 256)):
+            report, census = engine.failing_census(ConstantKind.HARBORTH, parse_group(spec), w)
+            assert len(census) == size
+            assert gc.collect() == 0, spec
     finally:
         gc.enable()
 

@@ -126,6 +126,35 @@ def test_prefix_shared_recheck_catches_a_bad_member(spec, wspec, how, monkeypatc
         enumerate_extremal(g, w)
 
 
+@pytest.mark.parametrize("spec, wspec", [("2,6", "classic"), ("3,6", "classic")])
+def test_recheck_catches_a_zero_sum_before_the_last_term(spec, wspec, monkeypatch):
+    # a member of exp + 2 terms whose first exp terms already hold a
+    # zero-sum of length exp: the kernel rejects the push of its exp-th
+    # term, and the re-check reports the member instead of pushing the next
+    # term on no word
+    g = parse_group(spec)
+    w = WeightSet.parse(wspec, g.exponent)
+    e = g.exponent
+    report, census = inverse.failing_census(ConstantKind.HARBORTH, g, w)
+    members = set(census)
+    for idxs in sorted(census):
+        head = idxs[:e - 1]
+        closing = [x for x in range(head[-1] + 1, g.order)
+                   if oracle_has_weighted_zero_of_length(Sequence.from_indices(g, head + (x,)), w, e)]
+        bad = next((head + (x,) + tail for x in closing
+                    for tail in combinations(range(x + 1, g.order), len(idxs) - e)
+                    if head + (x,) + tail not in members), None)
+        if bad is not None:
+            break
+    assert len(bad) == e + 2
+    corrupted = tuple(sorted(members - {idxs} | {bad}))
+    monkeypatch.setattr(inverse, "failing_census", lambda *args, **opts: (report, corrupted))
+    monkeypatch.setattr(inverse, "oracle_terms_have_zero_of_length", lambda *args: False)
+    name = re.escape(Sequence.from_indices(g, bad).literal())
+    with pytest.raises(InternalCheckError, match=f"census member {name} has a weighted zero-sum of length {e}"):
+        enumerate_extremal(g, w)
+
+
 @pytest.mark.parametrize("spec, wspec, size, sampled", [("2,8", "classic", 4896, None), ("2,10", "pm", 1260, 8),
                                                         ("4,4", "pm", 1152, None), ("2,8", "pm", 256, 8)])
 def test_oracle_sample_rule(spec, wspec, size, sampled, monkeypatch):
@@ -824,6 +853,19 @@ def test_hypothesis_wrong_weights():
         check_theorem_hypotheses(TheoremId.C2C4_PM, parse_group("2,4"), classic(4))
     with pytest.raises(HypothesisError):
         check_theorem_hypotheses(TheoremId.UNWEIGHTED_ODD, parse_group("2,6"), pm(6))
+
+
+def test_hypothesis_names_the_weight_modulus():
+    # a weight set modulo something other than exp(G) is refused for its
+    # modulus, before its classes are compared with the theorem's
+    with pytest.raises(HypothesisError, match=r"^c2c4-pm needs weights modulo exp\(G\) = 4 on C2 x C4, "
+                                              r"got weights modulo 3$"):
+        check_theorem_hypotheses(TheoremId.C2C4_PM, parse_group("2,4"), pm(3))
+    with pytest.raises(HypothesisError, match=r"^unweighted-even needs weights modulo exp\(G\) = 8 on C2 x C8, "
+                                              r"got weights modulo 4$"):
+        check_theorem_hypotheses(TheoremId.UNWEIGHTED_EVEN, parse_group("2,8"), classic(4))
+    with pytest.raises(HypothesisError, match="modulo exp"):
+        verify_characterization(TheoremId.FULL_GROUP, parse_group("2,2"), classic(4))
 
 
 def test_hypothesis_full_group():

@@ -571,20 +571,30 @@ def test_single_weight_oracle_matches_full_enumeration(factors):
 def test_oracle_takes_the_complement_for_one_class_when_cheaper_else_the_dp(monkeypatch):
     g = GroupSpec([2, 8])
     terms = (1, 2, 3, 5, 8, 9, 12, 14, 15)
-    sides = []
+    sides, rows = [], []
+    zero_in_rows = sequences._zero_in_rows
+    table = weighted_length_sums_oracle(Sequence.from_indices(g, terms), WeightSet.classic(8))
 
     def spy(items, r):
         sides.append(r)
         return combinations(items, r)
 
+    def dp(group, weights, terms, low, high):
+        rows.append(low)
+        return zero_in_rows(group, weights, terms, low, high)
+
     monkeypatch.setattr(sequences, "combinations", spy)
+    monkeypatch.setattr(sequences, "_zero_in_rows", dp)
     for ws in (WeightSet.plus_minus(8), WeightSet.of(8, [1, 3, 5, 7])):
         for length in range(len(terms) + 2):
             oracle_terms_have_zero_of_length(g, ws, terms, length)
-    assert sides == []
-    for length in (2, 7, 8):  # kept side 2; dropped sides 9 - 7 and 9 - 8
-        oracle_terms_have_zero_of_length(g, WeightSet.classic(8), terms, length)
-    assert sides == [2, 2, 1]
+    assert sides == [] and rows == 2 * list(range(1, 10))
+    rows.clear()
+    # kept sides 1, 2 and 3, dropped sides 3, 2 and 1: one term is a
+    # membership test and two are pair sums, so only three list combinations
+    for length in (1, 2, 3, 6, 7, 8):
+        assert oracle_terms_have_zero_of_length(g, WeightSet.classic(8), terms, length) == (0 in table[length])
+    assert rows == [] and sides == [3, 3]
     # egz C14's classic witness (0)^13;(1)^13 at length 14: the dropped side
     # has 12 terms, C(26, 12)*12 reads against the DP's 26*13*14 set updates;
     # at length 13 the kept side has 13; at length 25 the dropped side has 1
@@ -592,7 +602,7 @@ def test_oracle_takes_the_complement_for_one_class_when_cheaper_else_the_dp(monk
     assert not oracle_terms_have_zero_of_length(GroupSpec([14]), WeightSet.classic(14), witness, 14)
     assert oracle_terms_have_zero_of_length(GroupSpec([14]), WeightSet.classic(14), witness, 13)
     assert not oracle_terms_have_zero_of_length(GroupSpec([14]), WeightSet.classic(14), witness, 25)
-    assert sides == [2, 2, 1, 1]
+    assert rows == [14, 13] and sides == [3, 3]
     # the census sample rule's price: the complement's reads for one class,
     # a recursion over weight assignments' for several
     assert oracle_ops(WeightSet.classic(8), 9, 8) == 9
