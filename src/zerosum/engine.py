@@ -48,28 +48,27 @@ for L over the lowest members of each class (``_lowest_members``), whose
 first chain is the colex-least witness.  A census takes one of two paths.
 A harborth census under one unit weight class (classic, or {u} with u a
 unit) is first listed by complements (``_complement_census``): a DP over
-the sets of exp + k terms, k = 0, 1, 2, finds L, a k = 3 walk
-(``_three_sum_walk``) refutes exp + 3 when k = 2, and the members are
+the sets of exp + k terms, k = 0, 1, 2, finds L, and the members are
 listed from the DP tables and their translates, then sorted into colex
-order.  Its nodes are the k = 3 walk's (forced pushes included) and one
-per listed member.  Every other census, and this one when L < exp or a
-failing set of exp + 3 terms exists, is one class walk that keeps its
-ties, counting on from the k = 3 walk's nodes, each tie lifted to every
-failing sequence it stands for (``_lift``) and sorted into colex order,
-with the witness first; with one-element orbits the lift is the walk's
-own hits.  Both paths give the same members in the same order.
+order; when k = 2 the listing also refutes exp + 3, member by member.
+Its nodes are one per listed member.  Every other census, and this one
+when L < exp or a listed member extends to a failing set of exp + 3
+terms, is one class walk that keeps its ties, counting on from the
+members listed up to that one, each tie lifted to every failing sequence
+it stands for (``_lift``) and sorted into colex order, with the witness
+first; with one-element orbits the lift is the walk's own hits.  Both
+paths give the same members in the same order.
 ``failing_census`` returns the members as ascending index tuples, and
 ``Sequence.from_indices`` turns one into a sequence.  A census builds no
 Gamma and no plan.  Every walk is sequential, and its nodes depend only on
 the search inputs.  Roots (topmost elements) go in index order, and the
 bound carries from root to root.  One node budget covers every forced push,
-every job's walk and the probe, or the k = 3 walk, the listing and the
-class walk, each counting on from the running total, and a search stops at
-the first node past it, naming the job, the probe, the complement walk or
-listing, or the class walk it stopped in, so node counts, witnesses and
-budget aborts are byte-stable across runs.  Reports carry no timing, so
-two identical searches return equal reports; the CLI times its calls for
-``--perf``.
+every job's walk and the probe, or the listing and the class walk, each
+counting on from the running total, and a search stops at the first node
+past it, naming the job, the probe, the complement listing or the class
+walk it stopped in, so node counts, witnesses and budget aborts are
+byte-stable across runs.  Reports carry no timing, so two identical
+searches return equal reports; the CLI times its calls for ``--perf``.
 """
 
 from __future__ import annotations
@@ -104,8 +103,7 @@ class SearchBudgetExceeded(RuntimeError):
     ``nodes`` is the total the computation had used, ``budget + 1``, and
     ``phase`` the part of the search that used the last node: ``"class
     walk"``, ``"job i of m"`` of a value search's plan, ``"witness
-    probe"``, or a census's ``"complement walk"`` (k = 3) or
-    ``"complement listing"``.
+    probe"``, or a census's ``"complement listing"``.
     """
 
     def __init__(self, nodes: int, budget: int, phase: str = "class walk"):
@@ -614,18 +612,15 @@ def _one_unit(weights: WeightSet) -> bool:
     return len(weights.classes) == 1 and gcd(weights.classes[0], weights.modulus) == 1
 
 
-def _coset_reps(group: GroupSpec, k: int, units=(1,)) -> list[int]:
-    """The least element of each class of G under s -> u*s + k*h, u in
-    ``units``: the coset representatives of kG with ``units = (1,)``."""
+def _coset_reps(group: GroupSpec, k: int) -> list[int]:
+    """The least element of each coset of kG."""
     times_k, add = group.scale_table[k % group.exponent], group.add_table
     reps, seen = [], 0
     for s in range(group.order):
         if not seen >> s & 1:
             reps.append(s)
-            for u in units:
-                us = group.scale_table[u][s]
-                for h in range(group.order):
-                    seen |= 1 << add[us][times_k[h]]
+            for h in range(group.order):
+                seen |= 1 << add[s][times_k[h]]
     return reps
 
 
@@ -662,15 +657,28 @@ def _complement_census(group: GroupSpec, budget: int):
     representatives of kG, a DP with state (size, sum) over the choices,
     the classic subsum kernel pushed choice by choice from the last,
     decides whether a failing set of exp + k terms exists; failing sets are
-    closed under subsets, so the largest such k gives L.  When k = 2, a
-    walk (``_three_sum_walk``) must refute exp + 3 as well.  The members
-    with a representative's sum are listed from its DP tables, and
-    translating S by h adds k*h to its sum, so one h per element of kG
-    lists the rest.  Sets are bit masks, and colex order is their numeric
-    order.
+    closed under subsets, so the largest such k gives L.  The members with
+    a representative's sum are listed from its DP tables, and translating S
+    by h adds k*h to its sum, so one h per element of kG lists the rest.
+    Sets are bit masks, and colex order is their numeric order.
 
-    The DP is polynomial and uses no nodes; the walk counts its nodes, and
-    the listing one node per member, against ``budget``.
+    When k = 2 the listing also refutes exp + 3.  Let T be a failing set of
+    exp + 2 terms, sigma = sigma(T) and y not in T.  Then T + {y} fails
+    exactly when y is not in Sigma3(T) - sigma, Sigma3 the sums of three
+    distinct terms: a triple with y sums to sigma + y only if two terms of
+    T sum to sigma, and a triple of T sums to sigma + y only if y is in
+    Sigma3(T) - sigma.  Every failing set of exp + 3 terms is such a T + {y},
+    and translating T translates T | (Sigma3(T) - sigma) with it, so exp + 3
+    is refuted exactly when every listed member T has T | (Sigma3(T) -
+    sigma) = G.  Each partial member carries its classic kernel word
+    capped at 3, row 3 being Sigma3, and drops it (``None``) once its terms
+    and row 3 - sigma cover G, since every extension covers G too; a member
+    that ends with its word still set extends to a failing set of exp + 3
+    terms, and the census returns ``None`` for the class walk.
+
+    The DP is polynomial and uses no nodes; the listing counts one node
+    per member against ``budget``, up to and including the first that
+    extends.
     """
     N, exp = group.order, group.exponent
     add, neg = group.add_table, group.scale_table[-1 % exp]
@@ -702,17 +710,19 @@ def _complement_census(group: GroupSpec, budget: int):
     if found is None:
         return 0, None
     k, size, tables = found
-    nodes = 0
-    if k == 2:
-        nodes, refuted = _three_sum_walk(group, budget)
-        if not refuted:
-            return nodes, None
+    empty, push = subsum_kernel(group, WeightSet.classic(exp), 3)
+    translate = _packed_ops(group, WeightSet.classic(exp), 1)
+    full = group.full_mask
     phase = "complement listing"
+    nodes = 0
     members: list[int] = []
     for sig, items, rest in tables:
-        todo = [(0, size, sig, 0)]  # (i, j, s, acc): j more terms from items[i:] with sum s, after acc
+        back = translate[neg[sig]]  # row 3 of a word, less sig
+        # (i, j, s, acc, word): j more terms from items[i:] with sum s, after
+        # acc, whose kernel word is None once acc | (row 3 - sig) covers G
+        todo = [(0, size, sig, 0, empty if k == 2 else None)]
         while todo:
-            i, j, s, acc = todo.pop()
+            i, j, s, acc, word = todo.pop()
             for p in range(i, len(items)):
                 if not rest[p] >> j * N + s & 1:
                     break  # nor can any later choice start the rest
@@ -721,16 +731,22 @@ def _complement_census(group: GroupSpec, budget: int):
                     r = add[s][neg[a]]
                     if not after >> r & 1:
                         continue
+                    term, new = acc | 1 << a, word
+                    if word is not None:
+                        new = push(word, a)
+                        if term | back(new >> 3 * N) >> N == full:
+                            new = None
                     if j > 1:
-                        todo.append((p + 1, j - 1, r, acc | 1 << a))
+                        todo.append((p + 1, j - 1, r, term, new))
                         continue
                     nodes += 1
                     if nodes > budget:
                         raise SearchBudgetExceeded(nodes, budget, phase)
-                    members.append(acc | 1 << a)
+                    if new is not None:
+                        return nodes, None  # some term extends it to a failing set of exp + 3 terms
+                    members.append(term)
     times_k = group.scale_table[k % exp]
     shifts = {times_k[h]: h for h in range(N - 1, 0, -1) if times_k[h]}  # one h per nonzero k*h
-    translate = _packed_ops(group, WeightSet.classic(exp), 1)
     listed = len(members)
     for h in shifts.values():
         if nodes + listed > budget:
@@ -744,64 +760,6 @@ def _complement_census(group: GroupSpec, budget: int):
     for j, tab in enumerate(tabs[1:], 1):
         out = list(map(tuple.__add__, out, [tab[m >> 8 * j & 255] for m in members]))
     return nodes, out
-
-
-def _three_sum_walk(group: GroupSpec, budget: int) -> tuple[int, bool]:
-    """Nodes used, and whether every set S of exp + 3 terms has 3 terms
-    summing to sigma(S), so that no failing set is that long.
-
-    For each sigma the walk looks for S with sum sigma and no 3 terms
-    summing to sigma.  Its state is the set of negated terms, the children
-    that would close such a triple (sigma - x for x a sum of two terms),
-    the sum and the size; a chain one term short may only take the term
-    that brings the sum to sigma.  Scaling S by a unit u multiplies sigma
-    by u and translating it by h adds 3*h, so sigma runs over
-    ``_coset_reps`` of 3G under the units.  Translations by G[3], the h
-    with 3*h = 0, keep sigma and each coset of G[3], so one job per coset
-    C, in index order, forces C's least element and walks C and the later
-    cosets: some translate of S holds it, where C is the first coset S
-    meets.
-    """
-    N, exp = group.order, group.exponent
-    size = exp + 3
-    if size > N:
-        return 0, True
-    add, neg = group.add_table, group.scale_table[-1 % exp]
-    times3 = group.scale_table[3 % exp]
-    translate = _packed_ops(group, WeightSet.classic(exp), 1)
-    full = group.full_mask
-    moves = {"below": tuple((1 << c) - 1 for c in range(N)), "unlock": (0,) * N, "width": (1,) * N,
-             "levels": ()}
-    torsion = [h for h in range(N) if not times3[h]]
-    phase = "complement walk"
-    nodes = 0
-    for sig in _coset_reps(group, 3, tuple(u for u in range(1, exp) if gcd(u, exp) == 1)):
-        def push(state, x: int):
-            negated, closing, total, n = state
-            return (negated | 1 << neg[x], closing | translate[add[sig][neg[x]]](negated) >> N,
-                    add[total][x], n + 1)
-
-        def dead(state) -> int:
-            _, closing, total, n = state
-            if n == size - 1:
-                return closing | (full ^ 1 << add[sig][neg[total]])
-            return closing
-
-        allowed = full
-        for r in range(N):
-            if not allowed >> r & 1:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(nodes, budget, phase)
-            found, _, _, nodes = _walk(allowed ^ 1 << r, push((0, 0, 0, 0), r), push, **moves, dead=dead,
-                                       best=size - 2, cap=size - 1, ties=False, budget=budget, spent=nodes,
-                                       phase=phase)
-            if found == size - 1:
-                return nodes, False
-            for h in torsion:
-                allowed &= ~(1 << add[r][h])
-    return nodes, True
 
 
 def _validate_witness(kind: ConstantKind, group: GroupSpec, weights: WeightSet | None, witness: Sequence) -> None:

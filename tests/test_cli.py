@@ -50,7 +50,8 @@ def test_import_does_no_work():
     # a fresh import fills no cache, and a census builds no symmetries and
     # no plan: both are a value search's, built on its first use; the
     # censuses cover the complement listing with k = 1 (2,8 classic) and
-    # with k = 2 after the k = 3 walk (3,6 classic), and the class walk
+    # with k = 2, refuting exp + 3 as it lists (3,6 classic), and the class
+    # walk
     src = str(Path(zerosum.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_RUN], capture_output=True, text=True, timeout=120, env=env)
@@ -501,8 +502,8 @@ def test_table_range_past_order_ceiling_exits_64(capsys, family, rng):
 # (command, exit code, stdout, stderr) of one command per subcommand in json and
 # csv, a table with a BUDGET row, a verify refused with 65, one --perf case
 # per format with each time written as <ms>, and two classic censuses listed
-# by complements: nodes are the k = 3 walk's (34 on 2,6, none on 2,4, where
-# L = exp + 1) plus one per member; the class walk took 613 and 115
+# by complements: nodes are one per member (18 on 2,6, where the listing
+# also refutes exp + 3, and 16 on 2,4); the class walk took 613 and 115
 _PINNED_OUTPUT = [
     ('compute --group 2,6 --weights pm --kind harborth --output json', 0, '{"formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "kind": "harborth", "nodes_visited": 154, "schema": 1, "type": "search_report", "value": 8, "verdict": "AGREE", "weights": [1, 5], "witness": "(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)"}\n', ''),
     ('compute --group 2,6 --weights pm --kind harborth --output csv', 0, 'kind,group,weights,value,witness,nodes,formula,tag,verdict\nharborth,"2,6",pm,8,"(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)",154,8,harborth-rank2-pm,AGREE\n', ''),
@@ -517,7 +518,7 @@ _PINNED_OUTPUT = [
     ('compute --group 2,6 --weights pm --kind harborth --output json --perf', 0, '{"formula": {"applicable": true, "hi": 8, "lo": 8, "tag": "harborth-rank2-pm", "value": 8}, "group": "2,6", "kind": "harborth", "nodes_visited": 154, "schema": 1, "type": "search_report", "value": 8, "verdict": "AGREE", "wall_time_ms": <ms>, "weights": [1, 5], "witness": "(0,0);(1,0);(0,1);(0,2);(1,2);(0,4);(1,4)"}\n', ''),
     ('verify --group 2,6 --theorem pm-general --output csv --perf', 0, 'side,sequence,ms\n,,<ms>\n', ''),
     ('enumerate --group 4 --weights pm --perf', 0, 'group: 4\nweights: pm\nvalue: 4\ncount: 4\n(0);(1);(2)\n(0);(1);(3)\n(0);(2);(3)\n(1);(2);(3)\nms: <ms>\n', ''),
-    ('verify --group 2,6 --theorem unweighted-odd --output json', 0, '{"agree": true, "census_size": 18, "group": "2,6", "nodes_visited": 52, "only_in_census": [], "only_in_predicate": [], "predicate_size": 18, "schema": 1, "theorem": "unweighted-odd", "type": "characterization_report", "value": 9, "weights": [1]}\n', ''),
+    ('verify --group 2,6 --theorem unweighted-odd --output json', 0, '{"agree": true, "census_size": 18, "group": "2,6", "nodes_visited": 18, "only_in_census": [], "only_in_predicate": [], "predicate_size": 18, "schema": 1, "theorem": "unweighted-odd", "type": "characterization_report", "value": 9, "weights": [1]}\n', ''),
     ('enumerate --group 2,4 --weights classic --output json', 0, '{"count": 16, "group": "2,4", "members": ["(0,0);(1,0);(0,1);(0,2);(0,3)", "(0,0);(1,0);(0,1);(1,2);(0,3)", "(0,0);(1,0);(1,1);(0,2);(1,3)", "(0,0);(1,0);(1,1);(1,2);(1,3)", "(0,0);(0,1);(1,1);(0,2);(0,3)", "(0,0);(0,1);(1,1);(0,2);(1,3)", "(0,0);(0,1);(0,2);(1,2);(0,3)", "(0,0);(0,1);(0,2);(0,3);(1,3)", "(0,0);(1,1);(0,2);(1,2);(1,3)", "(0,0);(1,1);(0,2);(0,3);(1,3)", "(1,0);(0,1);(1,1);(1,2);(0,3)", "(1,0);(0,1);(1,1);(1,2);(1,3)", "(1,0);(0,1);(0,2);(1,2);(0,3)", "(1,0);(0,1);(1,2);(0,3);(1,3)", "(1,0);(1,1);(0,2);(1,2);(1,3)", "(1,0);(1,1);(1,2);(0,3);(1,3)"], "nodes_visited": 16, "schema": 1, "type": "extremal_census", "value": 6, "weights": [1]}\n', ''),
 ]
 

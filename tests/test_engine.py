@@ -580,15 +580,15 @@ def _census_digest(g, census):
 def test_complement_census_matches_the_class_walk(spec, monkeypatch):
     # every harborth census under one unit weight class equals the class
     # walk's: value, witness, members, colex order and digest; a listed
-    # census counts its k = 3 walk (when L = exp + 2) and one node per
-    # member, and a census that falls back counts its k = 3 walk (when
-    # L >= exp + 3) and then the class walk's nodes.  Under {u} the class
-    # walk runs on the same scaled weights {-1} for every unit u, so one
-    # walk under classic weights is the reference for all of them.
+    # census counts one node per member, and a census that falls back
+    # counts the members listed up to the first that extends to a failing
+    # set of exp + 3 terms (none when L < exp), then the class walk's nodes.
+    # Under {u} the class walk runs on the same scaled weights {-1} for
+    # every unit u, so one walk under classic weights is the reference for
+    # all of them.
     g = parse_group(spec)
     e = g.exponent
-    listed = engine._complement_census(g, 10**9)[1] is not None
-    three = engine._three_sum_walk(g, 10**9)[0]
+    listing, listed = engine._complement_census(g, 10**9)
     with monkeypatch.context() as m:
         _class_walk_census(m)
         walked, walked_census = failing_census(ConstantKind.HARBORTH, g, classic(e))
@@ -600,15 +600,18 @@ def test_complement_census_matches_the_class_walk(spec, monkeypatch):
         assert census == walked_census and _census_digest(g, census) == _census_digest(g, walked_census)
         assert list(census) == sorted(census, key=lambda t: t[::-1]) and census[0] == report.witness.indices()
         k = report.value - 1 - e
-        assert listed == (0 <= k <= 2), (spec, k)
-        walks = three if k >= 2 else 0
-        assert report.nodes_visited == walks + (len(census) if listed else walked.nodes_visited), (spec, u)
+        assert (listed is not None) == (0 <= k <= 2), (spec, k)
+        if listed is not None:
+            assert listing == report.nodes_visited == len(census), (spec, u)
+        else:
+            assert (listing == 0) == (k < 0), (spec, k)
+            assert report.nodes_visited == listing + walked.nodes_visited, (spec, u)
 
 
 def test_complement_census_lists_translates_and_pair_choices():
     # 2,8 classic: L = exp + 1, the 306 sets with sum 0 that avoid 0 and
     # their 15 translates; 2,6 classic: L = exp + 2, one term of each pair
-    # {x, sig - x} and every x with 2x = sig, after a k = 3 walk of 34 nodes
+    # {x, sig - x} and every x with 2x = sig, one node per member
     g = parse_group("2,8")
     nodes, census = engine._complement_census(g, 10**9)
     add = g.add_table
@@ -619,44 +622,73 @@ def test_complement_census_lists_translates_and_pair_choices():
     g = parse_group("2,6")
     nodes, census = engine._complement_census(g, 10**9)
     add = g.add_table
-    assert (nodes, len(census)) == (34 + 18, 18) and engine._three_sum_walk(g, 10**9) == (34, True)
+    assert nodes == len(census) == 18
     for m in census:
         sig = sigma_index(g, m)
         assert not any(add[x][y] == sig for x, y in itertools.combinations(m, 2))
 
 
-@pytest.mark.parametrize("spec, k3_nodes", [("3,6", 2377), ("2,2,4", 1671), ("2,10", 287)])
-def test_complement_census_budget_names_its_phase(spec, k3_nodes):
-    # one budget covers the k = 3 walk and the listing; an abort names the
-    # one it stopped in, at node budget + 1
+def _three_sums_less_sigma(g, terms):
+    """T | (Sigma3(T) - sigma(T)) with plain sets, Sigma3 the sums of three
+    distinct terms: the y that do not extend T to a failing set."""
+    add, neg = g.add_table, g.scale_table[-1 % g.exponent]
+    back = neg[sigma_index(g, terms)]
+    return set(terms) | {add[sigma_index(g, t)][back] for t in itertools.combinations(terms, 3)}
+
+
+def test_complement_census_refutes_exp_plus_three_by_three_sums():
+    # the identity the listing relies on when L = exp + 2: a failing set T
+    # of exp + 2 terms extends by y to a failing set exactly when y lies
+    # outside T | (Sigma3(T) - sigma(T)), so every listed member covers G;
+    # on 4,4 classic, which falls back, a failing set of exp + 3 terms less
+    # any one term y is such a T, with no two terms summing to sigma(T),
+    # that y does extend
+    for spec, size in (("2,6", 18), ("2,10", 260), ("3,6", 3384), ("2,2,4", 1472)):
+        g = parse_group(spec)
+        census = engine._complement_census(g, 10**9)[1]
+        assert len(census) == size and len(census[0]) == g.exponent + 2
+        assert all(len(_three_sums_less_sigma(g, t)) == g.order for t in census), spec
+    g = parse_group("4,4")
+    add = g.add_table
+    failing = next(s for s in itertools.combinations(range(g.order), 7)
+                   if not oracle_terms_have_zero_of_length(g, classic(4), s, 4))
+    for y in failing:
+        t = tuple(x for x in failing if x != y)
+        sig = sigma_index(g, t)
+        assert not any(add[a][b] == sig for a, b in itertools.combinations(t, 2)), y
+        assert y not in _three_sums_less_sigma(g, t), y
+
+
+@pytest.mark.parametrize("spec, members", [("3,6", 3384), ("2,2,4", 1472), ("2,10", 260)])
+def test_complement_census_budget_names_its_phase(spec, members):
+    # one budget covers the listing, which refutes exp + 3 as it goes; an
+    # abort names it, at node budget + 1
     g = parse_group(spec)
     w = classic(g.exponent)
-    assert engine._three_sum_walk(g, 10**9) == (k3_nodes, True)
     report, census = failing_census(ConstantKind.HARBORTH, g, w)
     total = report.nodes_visited
-    assert total == k3_nodes + len(census)
-    for budget, phase in ((0, "complement walk"), (k3_nodes // 2, "complement walk"),
-                          (k3_nodes - 1, "complement walk"), (k3_nodes, "complement listing"),
-                          ((k3_nodes + total) // 2, "complement listing"), (total - 1, "complement listing")):
+    assert total == len(census) == members
+    for budget in (0, 1, total // 2, total - 1):
         with pytest.raises(SearchBudgetExceeded) as exc:
             failing_census(ConstantKind.HARBORTH, g, w, node_budget=budget)
-        assert (exc.value.nodes, exc.value.phase) == (budget + 1, phase), budget
+        assert (exc.value.nodes, exc.value.phase) == (budget + 1, "complement listing"), budget
     again, again_census = failing_census(ConstantKind.HARBORTH, g, w, node_budget=total)
     assert again.to_dict() == report.to_dict() and again_census == census
 
 
 def test_complement_census_falls_back_to_the_class_walk():
-    # 4,4 classic has a failing set of exp + 3 terms (L = exp + 4), so the
-    # census walks its classes after the k = 3 walk, counting on from it;
-    # C5 has no failing set of exp terms and walks at once
+    # 4,4 classic has a failing set of exp + 3 terms (L = exp + 4): its
+    # first listed member extends to one, so the census walks its classes
+    # after that one node, counting on from it; C5 has no failing set of
+    # exp terms and walks at once
     g = parse_group("4,4")
-    three, refuted = engine._three_sum_walk(g, 10**9)
-    assert not refuted and engine._complement_census(g, 10**9) == (three, None)
+    assert engine._complement_census(g, 10**9) == (1, None)
     report, census = failing_census(ConstantKind.HARBORTH, g, classic(4))
-    assert report.value == 9 and len(census) == 24
-    with pytest.raises(SearchBudgetExceeded) as exc:
-        failing_census(ConstantKind.HARBORTH, g, classic(4), node_budget=three)
-    assert (exc.value.nodes, exc.value.phase) == (three + 1, "class walk")
+    assert (report.value, len(census), report.nodes_visited) == (9, 24, 1 + 1573)
+    for budget, phase in ((0, "complement listing"), (1, "class walk")):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            failing_census(ConstantKind.HARBORTH, g, classic(4), node_budget=budget)
+        assert (exc.value.nodes, exc.value.phase) == (budget + 1, phase)
     assert engine._complement_census(parse_group("5"), 10**9) == (0, None)
 
 
@@ -1287,7 +1319,7 @@ def test_exists_failing_sequence_past_the_recursion_limit():
 def test_a_census_walk_leaves_no_garbage_cycle():
     # the walk's closure refers to itself; unless the walk breaks that cycle,
     # its hits stay alive until the cyclic collector runs; the same holds
-    # for the listing by complements and its k = 3 walk
+    # for the listing by complements, which carries kernel words when k = 2
     gc.collect()
     gc.disable()
     try:
